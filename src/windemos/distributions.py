@@ -15,21 +15,13 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import (
-    InvalidInputError,
-    InvalidParameterError,
-    NumericFailureError,
-    UndefinedMomentError,
-)
+from .errors import InvalidInputError, InvalidParameterError, UndefinedMomentError
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Below this the GEV xi-branch cancels badly; use the Gumbel form.
 _SMALL_XI = 1e-6
-
-# Quantile inversion tolerance, in probability.
-_QUANTILE_TOL = 1e-10
 
 
 def norm_cdf(z):
@@ -83,54 +75,6 @@ def _uniform_open(rng, size, shape):
     return np.maximum(u, np.finfo(float).tiny)
 
 
-def _bisect_cdf(cdf, p, lo, hi, max_iter=220):
-    """Invert a nondecreasing CDF by bisection on a valid bracket.
-
-    The bracket is collapsed all the way to machine width, which pins
-    |F(result) - p| well below the 1e-10 probability tolerance for any
-    density the scale floors admit.
-    """
-    lo = np.array(np.broadcast_to(lo, p.shape), dtype=float)
-    hi = np.array(np.broadcast_to(hi, p.shape), dtype=float)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = cdf(mid) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= 2.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(mid))):
-            return 0.5 * (lo + hi)
-    raise NumericFailureError(
-        "quantile bisection did not converge",
-        diagnostics={"p": p, "lo": lo, "hi": hi},
-    )
-
-
-def _expand_upper(cdf, p, start, step, max_iter=200):
-    """Grow an upper bracket endpoint until F(hi) >= p everywhere."""
-    hi = np.array(np.broadcast_to(start, p.shape), dtype=float)
-    step = np.array(np.broadcast_to(step, p.shape), dtype=float)
-    for _ in range(max_iter):
-        short = cdf(hi) < p
-        if not np.any(short):
-            return hi
-        hi = np.where(short, hi + step, hi)
-        step = step * 2.0
-    raise NumericFailureError("could not bracket the requested quantile from above")
-
-
-def _expand_lower(cdf, p, start, step, frozen, max_iter=200):
-    """Shrink a lower bracket endpoint until F(lo) <= p where not frozen."""
-    lo = np.array(np.broadcast_to(start, p.shape), dtype=float)
-    step = np.array(np.broadcast_to(step, p.shape), dtype=float)
-    for _ in range(max_iter):
-        over = (cdf(lo) > p) & ~frozen
-        if not np.any(over):
-            return lo
-        lo = np.where(over, lo - step, lo)
-        step = step * 2.0
-    raise NumericFailureError("could not bracket the requested quantile from below")
-
-
 class TruncatedNormal:
     """Normal distribution truncated to [0, inf).
 
@@ -179,20 +123,17 @@ class TruncatedNormal:
         return self.quantile(0.5)
 
     def quantile(self, p):
-        p = _check_prob(p)
-        p, mu, sigma = np.broadcast_arrays(p, self.mu, self.sigma)
-        d = TruncatedNormal(mu, sigma)
-        lo = np.zeros(p.shape)
-        hi = _expand_upper(d.cdf, p, np.maximum(mu, 0.0) + sigma, sigma)
-        return _bisect_cdf(d.cdf, p, lo, hi)
+        # Rounding can leave p -> 0 a hair below the support
+        return np.maximum(self._inverse_cdf(_check_prob(p)), 0.0)
+
+    def _inverse_cdf(self, u):
+        # Solve Phi((mu - q)/sigma) = (1-u) Phi(mu/sigma) in the log domain
+        return self.mu - self.sigma * special.ndtri_exp(np.log1p(-u) + self._log_norm_const)
 
     def sample(self, rng, size=None):
         """Inverse-transform draws using a seeded numpy Generator."""
         shape = np.broadcast_shapes(np.shape(self.mu), np.shape(self.sigma))
-        u = _uniform_open(rng, size, shape)
-        # Solve Phi(-z) = (1-u) Phi(mu/sigma) in the log domain
-        arg = np.log1p(-u) + self._log_norm_const
-        return self.mu - self.sigma * special.ndtri_exp(arg)
+        return self._inverse_cdf(_uniform_open(rng, size, shape))
 
     def neg_mass(self):
         return np.zeros(np.broadcast_shapes(np.shape(self.mu), np.shape(self.sigma)))
@@ -272,20 +213,7 @@ class LogNormal:
         return np.exp(self.mu)
 
     def quantile(self, p):
-        p = _check_prob(p)
-        p, mu, sigma = np.broadcast_arrays(p, self.mu, self.sigma)
-        d = LogNormal(mu, sigma)
-        lo = np.zeros(p.shape)
-        # Multiplicative expansion; exponent capped to dodge overflow
-        hi = np.exp(np.minimum(mu + sigma, 700.0))
-        for k in range(1, 200):
-            short = d.cdf(hi) < p
-            if not np.any(short):
-                break
-            hi = np.where(short, np.exp(np.minimum(mu + sigma * 2.0 ** k, 700.0)), hi)
-        else:
-            raise NumericFailureError("could not bracket the requested quantile from above")
-        return _bisect_cdf(d.cdf, p, lo, hi)
+        return np.exp(self.mu + self.sigma * special.ndtri(_check_prob(p)))
 
     def sample(self, rng, size=None):
         """Inverse-transform draws using a seeded numpy Generator."""
@@ -387,38 +315,16 @@ class GEV:
         return np.where(gumbel, gum, branch)
 
     def median(self):
-        gumbel = self._gumbel
-        xi_safe = np.where(gumbel, 1.0, self.xi)
-        log2 = math.log(2.0)
-        branch = self.mu + self.sigma * (log2 ** (-xi_safe) - 1.0) / xi_safe
-        gum = self.mu - self.sigma * math.log(log2)
-        return np.where(gumbel, gum, branch)
+        return self.quantile(0.5)
 
     def quantile(self, p):
-        p = _check_prob(p)
-        p, mu, sigma, xi = np.broadcast_arrays(p, self.mu, self.sigma, self.xi)
-        d = GEV(mu, sigma, xi)
-        lo_end, hi_end = d.support()
-        bounded_below = np.isfinite(lo_end)
-        bounded_above = np.isfinite(hi_end)
-        lo = np.where(bounded_below, lo_end, mu - sigma)
-        lo = _expand_lower(d.cdf, p, lo, sigma, bounded_below)
-        hi0 = np.where(bounded_above, hi_end, mu + sigma)
-        if np.all(bounded_above):
-            hi = np.array(hi0, dtype=float)
-        else:
-            frozen_hi = bounded_above
-            hi = np.array(np.broadcast_to(hi0, p.shape), dtype=float)
-            step = np.array(np.broadcast_to(sigma, p.shape), dtype=float)
-            for _ in range(200):
-                short = (d.cdf(hi) < p) & ~frozen_hi
-                if not np.any(short):
-                    break
-                hi = np.where(short, hi + step, hi)
-                step = step * 2.0
-            else:
-                raise NumericFailureError("could not bracket the requested quantile from above")
-        return _bisect_cdf(d.cdf, p, lo, hi)
+        log_g = np.log(-np.log(_check_prob(p)))  # log of -log F(q)
+        gumbel = self._gumbel
+        xi_safe = np.where(gumbel, 1.0, self.xi)
+        # expm1 keeps ((-log p)^-xi - 1)/xi accurate as xi nears the Gumbel switch
+        branch = self.mu + self.sigma * np.expm1(-xi_safe * log_g) / xi_safe
+        gum = self.mu - self.sigma * log_g
+        return np.where(gumbel, gum, branch)
 
     def sample(self, rng, size=None):
         """Inverse-transform draws using a seeded numpy Generator."""

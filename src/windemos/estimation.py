@@ -370,6 +370,22 @@ def rolling_calibrate(model, g, dataset, n, days=None, warm_start=True):
     return result
 
 
+def _obs_by_station(cases):
+    by_station = {}
+    for c in cases:
+        if c.obs is not None:
+            by_station.setdefault(c.station, []).append(c.obs)
+    if not by_station:
+        raise InvalidInputError("climatology window has no observations")
+    return by_station
+
+
+def _climatology(by_station, station):
+    # The station's own observations, else every station's
+    own = by_station.get(station)
+    return Empirical(own if own else [o for obs in by_station.values() for o in obs])
+
+
 def climatology_forecast(window, station):
     """Training-window observations as an empirical forecast.
 
@@ -378,12 +394,7 @@ def climatology_forecast(window, station):
     """
     if len(window.cases) == 0:
         raise InvalidInputError("climatology needs a nonempty window")
-    obs = [c.obs for c in window.cases if c.station == station and c.obs is not None]
-    if not obs:
-        obs = [c.obs for c in window.cases if c.obs is not None]
-    if not obs:
-        raise InvalidInputError("climatology window has no observations")
-    return Empirical(obs)
+    return _climatology(_obs_by_station(window.cases), station)
 
 
 def rolling_climatology(dataset, n, days=None):
@@ -398,14 +409,12 @@ def rolling_climatology(dataset, n, days=None):
         if i < n:
             skipped.append((day, f"only {i} prior days with data, need {n}"))
             continue
-        window_cases = []
-        for d in dates[i - n : i]:
-            window_cases.extend(by_date[d])
-        window = TrainingWindow(n, tuple(window_cases))
+        # Group the window's observations by station once per day
+        by_station = _obs_by_station(c for d in dates[i - n : i] for c in by_date[d])
         per_station = {}
         for case in by_date[day]:
             if case.station not in per_station:
-                per_station[case.station] = climatology_forecast(window, case.station)
+                per_station[case.station] = _climatology(by_station, case.station)
             pairs.append((case, per_station[case.station]))
     return pairs, skipped
 

@@ -18,6 +18,7 @@ from .scoring import (
     ScoreSummary,
     _batch_of,
     _family_groups,
+    _sample_quantile,
     aggregate_log_scores,
     crps_values,
     log_score,
@@ -284,6 +285,8 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     if alpha is None:
         alpha = 2.0 / (M + 1.0)
     alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError("alpha must lie in (0, 1)")
     nominal = 100.0 * (1.0 - alpha)
     if thresholds is None:
         thresholds = _default_thresholds(obs)
@@ -295,58 +298,26 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     }
 
     if is_empirical:
-        sizes = {d.n for d in forecasts}
-        if len(sizes) != 1:
+        if len({d.n for d in forecasts}) != 1:
             raise InvalidInputError("empirical forecasts must share one sample size")
-        size = sizes.pop()
-        c = size + 1
-        rng = np.random.default_rng(seed)
+        # Every column comes from the matrix of sorted members, one row per case
         values = np.array([d.values for d in forecasts])
-        ranks = ranks_of_obs(values, obs, rng)
-        hist = RankHistogram.from_ranks(ranks, c)
-        delta = reliability_index(hist)
-        intervals = np.array([central_interval(d, alpha) for d in forecasts])
-        covered = (obs >= intervals[:, 0]) & (obs <= intervals[:, 1])
-        med = np.array([d.median() for d in forecasts])
-        mean = np.array([d.mean() for d in forecasts])
-        neg = np.array([d.neg_mass() for d in forecasts])
-        summary = ScoreSummary(
-            mean_crps=float(np.mean(crps)),
-            mean_twcrps=mean_twcrps,
-            mean_log_score=None,
-            n_log_infinite=0,
-            mae=mae_median(np.column_stack([med, obs])),
-            rmse=rmse_mean(np.column_stack([mean, obs])),
-        )
-        return VerificationReport(
-            kind="empirical",
-            model=model,
-            n_cases=len(cases),
-            scores=summary,
-            reliability_index=delta,
-            class_count=c,
-            histogram_kind="rank",
-            histogram_counts=hist.counts,
-            coverage_pct=100.0 * float(np.mean(covered)),
-            nominal_coverage_pct=nominal,
-            mean_width=float(np.mean(intervals[:, 1] - intervals[:, 0])),
-            alpha=alpha,
-            thresholds=thresholds,
-            mean_pit=None,
-            ks_statistic=None,
-            ks_p_value=None,
-            neg_mass_mean=float(np.mean(neg)),
-            neg_mass_max=float(np.max(neg)),
-            tie_break_seed=int(seed),
-        )
-
-    if bins is None:
-        bins = M + 1
-    pits, dens, med, mean, lo, hi, neg = _parametric_columns(forecasts, obs, alpha)
-    counts, _ = pit_histogram(pits, bins)
-    delta = reliability_index(counts)
-    mean_log, n_inf = aggregate_log_scores(log_score(dens))
-    ks_stat, ks_p = ks_uniform_test(pits) if pits.size >= 10 else (None, None)
+        class_count = values.shape[1] + 1
+        ranks = ranks_of_obs(values, obs, np.random.default_rng(seed))
+        counts = RankHistogram.from_ranks(ranks, class_count).counts
+        lo = _sample_quantile(values, alpha / 2.0)
+        hi = _sample_quantile(values, 1.0 - alpha / 2.0)
+        med = np.median(values, axis=1)
+        mean = np.mean(values, axis=1)
+        neg = np.mean(values < 0.0, axis=1)
+        mean_log, n_inf, mean_pit, ks, tie_seed = None, 0, None, (None, None), int(seed)
+    else:
+        class_count = M + 1 if bins is None else int(bins)
+        pits, dens, med, mean, lo, hi, neg = _parametric_columns(forecasts, obs, alpha)
+        counts = tuple(int(v) for v in pit_histogram(pits, class_count)[0])
+        mean_log, n_inf = aggregate_log_scores(log_score(dens))
+        mean_pit, tie_seed = float(np.mean(pits)), None
+        ks = ks_uniform_test(pits) if pits.size >= 10 else (None, None)
     covered = (obs >= lo) & (obs <= hi)
     summary = ScoreSummary(
         mean_crps=float(np.mean(crps)),
@@ -357,23 +328,23 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
         rmse=rmse_mean(np.column_stack([mean, obs])),
     )
     return VerificationReport(
-        kind="parametric",
+        kind="empirical" if is_empirical else "parametric",
         model=model,
         n_cases=len(cases),
         scores=summary,
-        reliability_index=delta,
-        class_count=int(bins),
-        histogram_kind="pit",
-        histogram_counts=tuple(int(v) for v in counts),
+        reliability_index=reliability_index(counts),
+        class_count=class_count,
+        histogram_kind="rank" if is_empirical else "pit",
+        histogram_counts=counts,
         coverage_pct=100.0 * float(np.mean(covered)),
         nominal_coverage_pct=nominal,
         mean_width=float(np.mean(hi - lo)),
         alpha=alpha,
         thresholds=thresholds,
-        mean_pit=float(np.mean(pits)),
-        ks_statistic=ks_stat,
-        ks_p_value=ks_p,
+        mean_pit=mean_pit,
+        ks_statistic=ks[0],
+        ks_p_value=ks[1],
         neg_mass_mean=float(np.mean(neg)),
         neg_mass_max=float(np.max(neg)),
-        tie_break_seed=None,
+        tie_break_seed=tie_seed,
     )

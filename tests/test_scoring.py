@@ -19,6 +19,7 @@ from windemos import (
     NumericFailureError,
     ScoreSummary,
     TruncatedNormal,
+    UndefinedMomentError,
     UndefinedSkillError,
     aggregate_log_scores,
     crps_empirical,
@@ -321,3 +322,104 @@ def test_score_summary_serialization():
         "mae",
         "rmse",
     }
+
+
+# Oracle checks of the closed forms at 1e-8.  Shapes stay at or below
+# 0.6: beyond that the adaptive oracle itself runs out of error budget.
+
+GEV_ORACLE_GRID = [
+    # xi > 0, observation below the lower support endpoint mu - sigma/xi
+    (4.0, 0.6, 0.3, 0.3),
+    (4.0, 1.5, 0.6, 0.3),
+    (1.0, 0.2, 0.4, 0.0),
+    # both sides of the Gumbel switch at |xi| = 1e-6
+    (4.0, 1.5, 2e-6, 3.0),
+    (4.0, 1.5, -2e-6, 3.0),
+    (4.0, 1.5, 2e-6, 11.0),
+    (4.0, 1.5, -2e-6, 0.5),
+    (4.0, 1.5, 5e-7, 9.0),
+    (4.0, 1.5, -5e-7, 0.5),
+    # xi < 0, observation above the upper support endpoint mu - sigma/xi
+    (4.0, 1.5, -0.3, 12.0),
+    (4.0, 1.5, -0.6, 7.0),
+]
+
+
+@pytest.mark.parametrize("loc,scale,xi,x", GEV_ORACLE_GRID)
+def test_gev_closed_form_crps_matches_oracle(loc, scale, xi, x):
+    d = GEV(loc, scale, xi)
+    assert crps_values([d], [x])[0] == pytest.approx(crps_numeric(d.cdf, x), abs=1e-8)
+
+
+def test_gev_crps_undefined_for_large_shape():
+    dists = [GEV(4.0, 1.5, 0.2), GEV(4.0, 1.5, 1.0)]
+    with pytest.raises(UndefinedMomentError):
+        crps_values(dists, [3.0, 3.0])
+    with pytest.raises(UndefinedMomentError):
+        twcrps_values(dists, [3.0, 3.0], 5.0)
+
+
+# (law, observations, thresholds): thresholds below and above the support
+# endpoint, observations on either side of each threshold.
+TW_ORACLE_CASES = {
+    "tn": (TruncatedNormal(2.0, 1.0), (0.0, 0.3, 2.0, 9.0), (-1.0, 0.0, 0.5, 3.0, 12.0)),
+    "tn-deep": (TruncatedNormal(-20.0, 0.5), (0.0, 0.02, 0.2), (0.0, 0.01, 0.05, 0.3)),
+    "ln": (LogNormal(0.5, 0.6), (0.0, 0.4, 2.0, 9.0), (-1.0, 0.0, 1.0, 3.0, 30.0)),
+    # r = e puts log r exactly at mu + sigma^2, the switch of Owen's formula
+    "ln-switch": (LogNormal(0.0, 1.0), (0.5, 3.0), (math.e,)),
+    # lower endpoint 2
+    "gev-bounded-below": (GEV(4.0, 0.6, 0.3), (0.3, 1.5, 3.0, 9.0), (1.0, 2.5, 6.0, 40.0)),
+    # upper endpoint 9
+    "gev-bounded-above": (GEV(4.0, 1.5, -0.3), (2.0, 8.5, 12.0), (-2.0, 3.0, 8.9, 10.0)),
+    "gumbel": (GEV(4.0, 1.5, 0.0), (0.5, 4.0, 11.0), (-3.0, 3.0, 10.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("name", TW_ORACLE_CASES)
+def test_twcrps_closed_forms_match_oracle(name):
+    d, ys, rs = TW_ORACLE_CASES[name]
+    for r in rs:
+        got = twcrps_values([d] * len(ys), np.array(ys), r)
+        for y, val in zip(ys, got):
+            assert val >= 0.0
+            assert val == pytest.approx(twcrps(d.cdf, y, r), abs=1e-8), (y, r)
+
+
+def _step_twcrps(values, y, r):
+    # The integral of (F - 1{z >= y})^2 over [r, inf) for a step CDF,
+    # summed segment by segment
+    v = np.sort(values)
+    pts = np.unique(np.concatenate([v, [y, r]]))
+    pts = pts[pts >= r]
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        total += (np.mean(v <= a) - float(a >= y)) ** 2 * (b - a)
+    return total
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_twcrps_empirical_matches_step_integral(seed):
+    rng = np.random.default_rng(seed)
+    v = rng.gamma(2.0, 2.0, size=rng.integers(1, 12))
+    ys = np.array([0.0, v.min(), float(np.median(v)), v.max() + 1.0])
+    for r in (v.min() - 1.0, v.min(), float(np.mean(v)), v.max(), v.max() + 2.0):
+        got = twcrps_values([Empirical(v)] * len(ys), ys, r)
+        for y, val in zip(ys, got):
+            assert val >= 0.0
+            assert val == pytest.approx(_step_twcrps(v, y, r), abs=1e-12), (y, r)
+            assert twcrps(Empirical(v), y, r) == pytest.approx(val, abs=1e-12)
+
+
+def test_twcrps_tail_threshold_does_not_cancel():
+    # y < r with F(r) ~ 1: the score is a tiny upper-tail integral, which
+    # a difference of two CRPS values near r - E max(X, X') would swamp
+    # in rounding and could push below zero.
+    dists = [TruncatedNormal(2.0, 1.0), GEV(4.0, 1.5, 0.1), LogNormal(0.5, 0.3)]
+    obs = np.array([1.0, 3.0, 1.0])
+    got = twcrps_values(dists, obs, 25.0)
+    assert np.all(got >= 0.0)
+    for d, y, val in zip(dists, obs, got):
+        assert val == pytest.approx(twcrps(d.cdf, y, 25.0), abs=1e-8)
+    assert got[0] < 1e-100
+    # 40-digit quadrature of the integral of (1 - F)^2 over [25, inf)
+    assert got[1] == pytest.approx(4.712801944889065e-08, rel=1e-9)
