@@ -166,8 +166,14 @@ def _fit_dict(fit):
 
 def _calibration_summary(calib):
     last_day = max(calib.fits) if calib.fits else None
+    # Both branches of a regime-switching day count as fits
+    fits = [f for day in calib.fits.values() for f in (day if isinstance(day, tuple) else (day,))]
     return {
         "n_days_fit": len(calib.fits),
+        "n_fits": len(fits),
+        "n_fits_nonconverged": sum(not f.converged for f in fits),
+        "n_fits_at_floor": sum(f.at_boundary for f in fits),
+        "n_optimizer_evals": sum(f.n_evals for f in fits),
         "n_cases": len(calib.pairs),
         "skipped": [[day.isoformat(), reason] for day, reason in calib.skipped],
         "last_day": None if last_day is None else last_day.isoformat(),

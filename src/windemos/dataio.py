@@ -4,8 +4,9 @@ Layout: UTF-8 CSV with header `date,station,obs,m1,...,mM` (ISO-8601
 dates), plus a sidecar group map file holding the comma-separated group
 sizes in member order (defaults to `<data>.groups`; absent sidecar
 means fully distinguishable members).  Rows with any missing member or
-observation are dropped and counted; malformed content is an error
-carrying the line number.
+observation are dropped and counted; malformed content, including a
+second row for the same (date, station), is an error carrying the line
+number.
 """
 
 import csv
@@ -67,6 +68,7 @@ def read_dataset(path, groups_path=None):
         groups_path = default_groups_path(path)
     dataset = []
     dropped = 0
+    first_line = {}  # (date, station) -> line of its first row
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -95,6 +97,14 @@ def read_dataset(path, groups_path=None):
                 date = datetime.date.fromisoformat(fields[0])
             except ValueError:
                 raise DataFormatError(f"bad date {fields[0]!r}", line=lineno) from None
+            key = (date, fields[1])
+            if key in first_line:
+                raise DataFormatError(
+                    f"duplicate row for date {fields[0]} and station {fields[1]!r} "
+                    f"(first on line {first_line[key]})",
+                    line=lineno,
+                )
+            first_line[key] = lineno
             try:
                 obs = float(fields[2])
                 members = tuple(float(f) for f in fields[3:])

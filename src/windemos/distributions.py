@@ -288,9 +288,9 @@ class GEV:
         xi_safe = np.where(gumbel, 1.0, self.xi)
         t = 1.0 + xi_safe * z
         inside = t > 0.0
-        t_safe = np.where(inside, t, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            logt = np.log(t_safe)
+            # log1p keeps log t accurate for xi just off the Gumbel switch
+            logt = np.log1p(np.where(inside, xi_safe * z, 0.0))
             branch = (
                 -np.log(self.sigma)
                 - (1.0 + 1.0 / xi_safe) * logt

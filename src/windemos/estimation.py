@@ -2,10 +2,13 @@
 
 TN and LN coefficients are fitted by minimizing the mean closed-form
 CRPS over a training window; GEV coefficients by maximum likelihood.
-The optimizer is a derivative-free Nelder-Mead simplex (max 5,000
-evaluations, simplex tolerance 1e-6) with one restart from the
-incumbent; nonnegativity constraints are imposed by optimizing
-unconstrained values u and using u^2.
+Each objective returns its value and its exact gradient: the CRPS
+partial derivatives in each case's location and scale (or the GEV
+score), chained through the links; a floored link passes no gradient.
+The optimizer is L-BFGS-B with one restart from the incumbent.  Its
+bounds keep the TN and LN weights and variance coefficients
+nonnegative and the GEV shape below 1, where the predictive mean and
+CRPS exist.
 
 Rolling calibration refits daily on the n most recent prior days that
 have any data, pooling all stations, warm-starting each day from the
@@ -14,13 +17,14 @@ threshold) cells on a shared selection-day set aligned to the longest
 window.
 """
 
+import dataclasses
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
-from .distributions import GEV
+from .distributions import _SMALL_XI, GEV
 from .errors import (
     EstimationError,
     InsufficientDataError,
@@ -39,10 +43,13 @@ from .models import (
     predict_switch,
     predict_tn,
 )
-from .scoring import Empirical, _crps_ln_raw, _crps_tn_raw, crps_values
+from .scoring import Empirical, _crps_ln_grad, _crps_tn_grad, crps_values
 
 _FAMILIES = ("tn", "ln", "gev", "tn-ln", "tn-gev")
-_NM_OPTIONS = {"maxfev": 5000, "xatol": 1e-6, "fatol": 1e-8, "adaptive": True}
+# L-BFGS-B stopping rules; each fit runs it twice (see `_fit`)
+_FIT_OPTIONS = {"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-7}
+# The GEV shape stays below 1, where the mean and the CRPS exist
+_XI_MAX = 1.0 - 1e-6
 _BIG = 1e12
 _SUPPORT_PENALTY = 1e6
 _MIN_SPLIT_CASES = 10
@@ -132,18 +139,6 @@ def _window_arrays(window, g):
     return gs, s2, fbar, obs
 
 
-def _run_simplex(objective, u0):
-    first = optimize.minimize(objective, u0, method="Nelder-Mead", options=_NM_OPTIONS)
-    second = optimize.minimize(objective, first.x, method="Nelder-Mead", options=_NM_OPTIONS)
-    best = first if first.fun <= second.fun else second
-    return (
-        np.asarray(best.x, dtype=float),
-        float(best.fun),
-        bool(first.success or second.success),
-        int(first.nfev) + int(second.nfev),
-    )
-
-
 def default_tn_params(g):
     """Cold start: ensemble-mean weighting with unit variance coefficients."""
     return TnParams(0.0, (1.0 / g.total,) * g.m, 1.0, 1.0)
@@ -157,101 +152,216 @@ def default_gev_params(g):
     return GevParams(0.0, (1.0 / g.total,) * g.m, 1.0, 1.0, 0.05)
 
 
-def fit_min_crps(family, g, window, init=None):
-    """Minimum-CRPS estimation of TN or LN link coefficients.
+def _fit(objective, u0, bounds=None):
+    """Minimize an exact value-and-gradient objective by L-BFGS-B.
 
-    Constrained coefficients are optimized as unconstrained square
-    roots; the returned parameters are exactly the squares of the
-    optimizer's final internal values.
+    One restart from the incumbent rescues runs whose line search stalls
+    at a kink, such as the GEV support penalty.  A stalled run can end on
+    a rejected trial point above its start, so the incumbent is the best
+    point evaluated so far, and that is what the fit returns.
     """
-    if family not in ("tn", "ln"):
-        raise InvalidInputError("fit_min_crps handles the 'tn' and 'ln' families")
-    gs, s2, _, obs = _window_arrays(window, g)
-    m = g.m
+    best = [np.inf, u0]
 
-    if family == "tn":
-        if init is None:
-            init = default_tn_params(g)
-        u0 = np.concatenate(
-            [[init.a0], np.sqrt(init.a), [np.sqrt(init.b0), np.sqrt(init.b1)]]
+    def tracked(u):
+        val, grad = objective(u)
+        if val < best[0]:
+            best[:] = val, np.array(u, dtype=float)
+        return val, grad
+
+    evals, converged = 0, False
+    for _ in range(2):
+        run = optimize.minimize(
+            tracked, best[1], jac=True, method="L-BFGS-B", bounds=bounds, options=_FIT_OPTIONS
         )
+        evals += int(run.nfev)
+        converged = converged or bool(run.success)
+    return best[1], float(best[0]), converged, evals
 
-        def objective(u):
-            loc = u[0] + gs @ (u[1 : 1 + m] ** 2)
-            scale2 = np.maximum(u[1 + m] ** 2 + u[2 + m] ** 2 * s2, SCALE_FLOOR)
-            with np.errstate(all="ignore"):
-                val = float(np.mean(_crps_tn_raw(loc, np.sqrt(scale2), obs)))
-            return val if np.isfinite(val) else _BIG
 
-        u, fun, converged, evals = _run_simplex(objective, u0)
-        params = TnParams(u[0], tuple(u[1 : 1 + m] ** 2), u[1 + m] ** 2, u[2 + m] ** 2)
-        boundary = bool(np.any(params.b0 + params.b1 * s2 < SCALE_FLOOR))
-        return FitResult(params, fun, converged, evals, boundary)
+def _mean_and_grad(per_case, grad):
+    # Mean objective and its gradient (grad holds the sums over cases);
+    # a non-finite value or gradient is a wall the line search backs off
+    val = float(np.mean(per_case))
+    grad = grad / per_case.size
+    if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+        return _BIG, np.zeros_like(grad)
+    return val, grad
 
-    if init is None:
-        init = default_ln_params(g)
-    u0 = np.concatenate(
-        [[init.alpha0], np.sqrt(init.alpha), [np.sqrt(init.beta0), np.sqrt(init.beta1)]]
-    )
+
+def _links(u, gs, x):
+    # The two linear links of u = (intercept, group weights, c0, c1, ...)
+    # before their floors: intercept + gs @ weights and c0 + c1 x
+    m = gs.shape[1]
+    return u[0] + gs @ u[1 : 1 + m], u[1 + m] + u[2 + m] * x
+
+
+def _links_grad(gs, x, d_first, d_second):
+    # Per-case derivatives in the two links, chained back to their
+    # coefficients and summed over cases
+    return np.concatenate([[np.sum(d_first)], d_first @ gs, [np.sum(d_second), d_second @ x]])
+
+
+def _tn_objective(gs, s2, obs):
+    """Mean TN CRPS of u = (a0, a, b0, b1), with its gradient."""
 
     def objective(u):
-        mean = np.maximum(u[0] + gs @ (u[1 : 1 + m] ** 2), MEAN_FLOOR)
-        var = np.maximum(u[1 + m] ** 2 + u[2 + m] ** 2 * s2, SCALE_FLOOR)
+        loc, var_raw = _links(u, gs, s2)
+        scale = np.sqrt(np.maximum(var_raw, SCALE_FLOOR))
+        with np.errstate(all="ignore"):
+            crps, d_loc, d_scale = _crps_tn_grad(loc, scale, obs)
+            # d scale / d scale^2 = 1/(2 scale) off the floor, 0 on it
+            d_var = np.where(var_raw > SCALE_FLOOR, 0.5 * d_scale / scale, 0.0)
+            return _mean_and_grad(crps, _links_grad(gs, s2, d_loc, d_var))
+
+    return objective
+
+
+def _ln_objective(gs, s2, obs):
+    """Mean LN CRPS of u = (alpha0, alpha, beta0, beta1), with its gradient."""
+
+    def objective(u):
+        mean_raw, var_raw = _links(u, gs, s2)
+        mean = np.maximum(mean_raw, MEAN_FLOOR)
+        var = np.maximum(var_raw, SCALE_FLOOR)
         ratio = var / (mean * mean)
         mu = np.log(mean) - 0.5 * np.log1p(ratio)
         sigma = np.sqrt(np.log1p(ratio))
         with np.errstate(all="ignore"):
-            val = float(np.mean(_crps_ln_raw(mu, sigma, obs)))
-        return val if np.isfinite(val) else _BIG
+            crps, d_mu, d_sigma = _crps_ln_grad(mu, sigma, obs)
+            # sigma^2 = log(mean^2 + var) - 2 log(mean), mu = log(mean) - sigma^2/2
+            d_s2 = 0.5 * (d_sigma / sigma - d_mu)
+            total = mean * mean + var
+            d_mean = d_mu / mean - 2.0 * var * d_s2 / (mean * total)
+            d_mean = np.where(mean_raw > MEAN_FLOOR, d_mean, 0.0)
+            d_var = np.where(var_raw > SCALE_FLOOR, d_s2 / total, 0.0)
+            return _mean_and_grad(crps, _links_grad(gs, s2, d_mean, d_var))
 
-    u, fun, converged, evals = _run_simplex(objective, u0)
-    params = LnParams(u[0], tuple(u[1 : 1 + m] ** 2), u[1 + m] ** 2, u[2 + m] ** 2)
-    mean_raw = params.alpha0 + gs @ np.asarray(params.alpha)
-    var_raw = params.beta0 + params.beta1 * s2
-    boundary = bool(np.any(mean_raw < MEAN_FLOOR) or np.any(var_raw < SCALE_FLOOR))
+    return objective
+
+
+_CRPS_FAMILIES = {
+    "tn": (TnParams, default_tn_params, _tn_objective),
+    "ln": (LnParams, default_ln_params, _ln_objective),
+}
+
+
+def fit_min_crps(family, g, window, init=None):
+    """Minimum-CRPS estimation of TN or LN link coefficients.
+
+    The group weights and both variance coefficients are bounded below
+    by 0, so a coefficient that reaches 0 in one window can leave it in
+    the next.
+    """
+    if family not in _CRPS_FAMILIES:
+        raise InvalidInputError("fit_min_crps handles the 'tn' and 'ln' families")
+    params_type, default, make_objective = _CRPS_FAMILIES[family]
+    gs, s2, _, obs = _window_arrays(window, g)
+    m = g.m
+    if init is None:
+        init = default(g)
+    intercept, weights, b0, b1 = dataclasses.astuple(init)
+    bounds = [(None, None)] + [(0.0, None)] * (m + 2)
+    u0 = np.concatenate([[intercept], weights, [b0, b1]])
+    u, fun, converged, evals = _fit(make_objective(gs, s2, obs), u0, bounds)
+    params = params_type(u[0], tuple(u[1 : 1 + m]), u[1 + m], u[2 + m])
+    mean_raw, var_raw = _links(u, gs, s2)
+    boundary = bool(np.any(var_raw < SCALE_FLOOR))
+    if family == "ln":
+        boundary = boundary or bool(np.any(mean_raw < MEAN_FLOOR))
     return FitResult(params, fun, converged, evals, boundary)
+
+
+def _gev_nll_grad(z, t, sigma, xi):
+    """Partial derivatives of the GEV negative log-density in (loc, sigma, xi).
+
+    With t = 1 + xi z and s = t^(-1/xi), the density's log falls in z at
+    rate k = (1 + xi - s)/t, and the xi-derivative is log(t)(s - 1)/xi^2
+    + z k/xi.  On the Gumbel branch of `GEV.logpdf` (|xi| < 1e-6) k is
+    1 - e^(-z) and the xi-derivative its limit z - z^2 k/2, so the shape
+    can leave the branch.
+    """
+    if abs(xi) < _SMALL_XI:
+        k = -np.expm1(-z)
+        d_xi = z * (1.0 - 0.5 * z * k)
+    else:
+        log_t = np.log1p(xi * z)
+        s = np.exp(-log_t / xi)
+        k = (1.0 + xi - s) / t
+        d_xi = log_t * (s - 1.0) / (xi * xi) + z * k / xi
+    return -k / sigma, (1.0 - z * k) / sigma, d_xi
+
+
+def _gev_objective(gs, fbar, obs):
+    """Mean GEV negative log-likelihood of u = (gamma0, gamma, sigma0, sigma1, xi).
+
+    Training cases outside the support of a proposed parameter set cost
+    a large finite penalty plus the violation magnitude, steering the fit
+    back to feasibility.  A case inside the support whose negative
+    log-density exceeds the penalty (a floored scale far from its
+    observation reaches 1e72) costs the penalty too, so no trial step
+    returns a value that derails the line search.
+    """
+
+    def objective(u):
+        loc, scale_raw = _links(u, gs, fbar)
+        sigma, xi = np.maximum(scale_raw, SCALE_FLOOR), float(u[-1])
+        if not (np.all(np.isfinite(loc)) and np.isfinite(xi)):
+            return _BIG, np.zeros_like(u)
+        z = (obs - loc) / sigma
+        t = 1.0 + xi * z
+        with np.errstate(all="ignore"):
+            nll = -GEV(loc, sigma, xi).logpdf(obs)
+            d_loc, d_sigma, d_xi = _gev_nll_grad(z, t, sigma, xi)
+            feasible = nll < _SUPPORT_PENALTY
+            # The violation -t grows where t < 0; capped cases inside are flat
+            outside = ~feasible & (t < 0.0)
+            per_case = np.where(feasible, nll, _SUPPORT_PENALTY + np.maximum(-t, 0.0))
+            d_loc = np.where(feasible, d_loc, np.where(outside, xi / sigma, 0.0))
+            d_sigma = np.where(feasible, d_sigma, np.where(outside, xi * z / sigma, 0.0))
+            d_sigma = np.where(scale_raw > SCALE_FLOOR, d_sigma, 0.0)
+            d_xi = np.where(feasible, d_xi, np.where(outside, -z, 0.0))
+            grad = np.append(_links_grad(gs, fbar, d_loc, d_sigma), np.sum(d_xi))
+            return _mean_and_grad(per_case, grad)
+
+    return objective
+
+
+def _gev_vector(p):
+    # The fit's u for GEV parameters, the shape clipped to its bound
+    return np.concatenate([[p.gamma0], p.gamma, [p.sigma0, p.sigma1, min(p.xi, _XI_MAX)]])
+
+
+def _gev_inside(u, gs, fbar, obs):
+    # Per training case: is its likelihood at u finite
+    loc, scale_raw = _links(u, gs, fbar)
+    if not np.all(np.isfinite(loc)):
+        return np.zeros(obs.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        return np.isfinite(GEV(loc, np.maximum(scale_raw, SCALE_FLOOR), u[-1]).logpdf(obs))
 
 
 def fit_gev_ml(g, window, init=None):
     """Maximum-likelihood estimation of the GEV link coefficients.
 
-    Training cases outside the support of a proposed parameter set add
-    a large finite penalty plus the violation magnitude, steering the
-    simplex back to feasibility.
+    The shape is bounded below 1, where the predictive mean and CRPS
+    exist; a warm start above the bound is clipped to it.  A warm start
+    that leaves a training case outside the support or on the scale
+    floor, where the gradient does not lead back, is replaced by the
+    cold start, which holds every nonnegative observation.
     """
-    gs, s2, fbar, obs = _window_arrays(window, g)
+    gs, _, fbar, obs = _window_arrays(window, g)
     m = g.m
-    if init is None:
-        init = default_gev_params(g)
-    u0 = np.concatenate([[init.gamma0], init.gamma, [init.sigma0, init.sigma1, init.xi]])
-
-    def parts(u):
-        loc = u[0] + gs @ u[1 : 1 + m]
-        sigma = np.maximum(u[1 + m] + u[2 + m] * fbar, SCALE_FLOOR)
-        xi = float(u[3 + m])
-        if not np.all(np.isfinite(loc)):
-            return None
-        nll = -GEV(loc, sigma, xi).logpdf(obs)
-        t = 1.0 + xi * (obs - loc) / sigma
-        return nll, np.maximum(-t, 0.0)
-
-    def objective(u):
-        out = parts(u)
-        if out is None:
-            return _BIG
-        nll, violation = out
-        feasible = np.isfinite(nll)
-        with np.errstate(all="ignore"):
-            val = float(np.mean(np.where(feasible, nll, _SUPPORT_PENALTY + violation)))
-        return val if np.isfinite(val) else _BIG
-
-    init_parts = parts(u0)
-    if init_parts is None or not np.any(np.isfinite(init_parts[0])):
+    u0 = _gev_vector(default_gev_params(g) if init is None else init)
+    inside = _gev_inside(u0, gs, fbar, obs)
+    if not np.any(inside):
         raise EstimationError(
             "no training case lies inside the GEV support at the initial "
             "parameters; restart from the Gumbel case (xi = 0)"
         )
-    u, fun, converged, evals = _run_simplex(objective, u0)
+    if not np.all(inside) or np.any(_links(u0, gs, fbar)[1] <= SCALE_FLOOR):
+        u0 = _gev_vector(default_gev_params(g))
+    bounds = [(None, None)] * (m + 3) + [(None, _XI_MAX)]
+    u, fun, converged, evals = _fit(_gev_objective(gs, fbar, obs), u0, bounds)
     params = GevParams(u[0], tuple(u[1 : 1 + m]), u[1 + m], u[2 + m], u[3 + m])
     boundary = bool(np.any(params.sigma0 + params.sigma1 * fbar < SCALE_FLOOR))
     return FitResult(params, fun, converged, evals, boundary)

@@ -27,6 +27,7 @@ from .distributions import (
     log_norm_cdf,
     log_norm_pdf,
     norm_cdf,
+    norm_pdf,
 )
 from .errors import (
     InvalidInputError,
@@ -113,15 +114,32 @@ def _check_obs(x):
     return x
 
 
-def _crps_tn_raw(mu, sigma, x):
-    # Unvalidated vectorized core shared with the estimation objectives
+def _crps_tn_terms(mu, sigma, x):
+    # A = CRPS/sigma of a truncated normal, with the ratios it is built from
     r = mu / sigma
     z = (x - mu) / sigma
     log_nc = log_norm_cdf(r)
     upper_ratio = np.exp(log_norm_cdf(-z) - log_nc)
     dens_ratio = np.exp(log_norm_pdf(z) - log_nc)
     pair_ratio = np.exp(log_norm_cdf(_SQRT2 * r) - 2.0 * log_nc)
-    return sigma * (z * (1.0 - 2.0 * upper_ratio) + 2.0 * dens_ratio - pair_ratio / _SQRT_PI)
+    a = z * (1.0 - 2.0 * upper_ratio) + 2.0 * dens_ratio - pair_ratio / _SQRT_PI
+    return a, r, z, log_nc, upper_ratio, dens_ratio, pair_ratio
+
+
+def _crps_tn_grad(mu, sigma, x):
+    """TN CRPS and its partial derivatives in mu and sigma (unvalidated).
+
+    With A = CRPS/sigma, z = (x - mu)/sigma, r = mu/sigma and the same
+    log-domain ratios as the CRPS, A_z = 1 - 2 Phi(-z)/Phi(r) and
+    A_r = 2 lam (z Phi(-z)/Phi(r) - phi(z)/Phi(r) + Phi(sqrt2 r)/(sqrt(pi)
+    Phi(r)^2) - lam), lam = phi(r)/Phi(r); then dCRPS/dmu = A_r - A_z and
+    dCRPS/dsigma = A - z A_z - r A_r.
+    """
+    a, r, z, log_nc, upper_ratio, dens_ratio, pair_ratio = _crps_tn_terms(mu, sigma, x)
+    lam = np.exp(log_norm_pdf(r) - log_nc)
+    a_z = 1.0 - 2.0 * upper_ratio
+    a_r = 2.0 * lam * (z * upper_ratio - dens_ratio + pair_ratio / _SQRT_PI - lam)
+    return sigma * a, a_r - a_z, a - z * a_z - r * a_r
 
 
 def crps_tn(d, x):
@@ -132,16 +150,30 @@ def crps_tn(d, x):
     evaluated through log-CDF differences, so deep truncation
     (mu/sigma far below 0) does not cancel catastrophically.
     """
-    return _crps_tn_raw(d.mu, d.sigma, _check_obs(x))
+    return d.sigma * _crps_tn_terms(d.mu, d.sigma, _check_obs(x))[0]
 
 
-def _crps_ln_raw(mu, sigma, x):
+def _crps_ln_terms(mu, sigma, x):
+    # The LN CRPS with w = (log x - mu)/sigma, M = E X and
+    # B = Phi(w - sigma) + Phi(sigma/sqrt2) - 1, which its derivatives reuse
     with np.errstate(divide="ignore"):
         w = np.where(x > 0.0, (np.log(np.where(x > 0.0, x, 1.0)) - mu) / sigma, -np.inf)
     mean = np.exp(mu + 0.5 * sigma * sigma)
-    return x * (2.0 * norm_cdf(w) - 1.0) - 2.0 * mean * (
-        norm_cdf(w - sigma) + norm_cdf(sigma / _SQRT2) - 1.0
-    )
+    b = norm_cdf(w - sigma) + norm_cdf(sigma / _SQRT2) - 1.0
+    return x * (2.0 * norm_cdf(w) - 1.0) - 2.0 * mean * b, w, mean, b
+
+
+def _crps_ln_grad(mu, sigma, x):
+    """LN CRPS and its partial derivatives in mu and sigma (unvalidated).
+
+    dCRPS/dmu = -2 M B and dCRPS/dsigma = sigma dCRPS/dmu + 2 x phi(w)
+    - sqrt2 M phi(sigma/sqrt2); the x phi(w) terms of dCRPS/dmu cancel
+    because M phi(w - sigma) = x phi(w).
+    """
+    crps, w, mean, b = _crps_ln_terms(mu, sigma, x)
+    d_mu = -2.0 * mean * b
+    d_sigma = sigma * d_mu + 2.0 * x * norm_pdf(w) - _SQRT2 * mean * norm_pdf(sigma / _SQRT2)
+    return crps, d_mu, d_sigma
 
 
 def crps_ln(d, x):
@@ -151,7 +183,7 @@ def crps_ln(d, x):
     """
     if isinstance(d, MeanVariance):
         d = d.to_lognormal()
-    return _crps_ln_raw(d.mu, d.sigma, _check_obs(x))
+    return _crps_ln_terms(d.mu, d.sigma, _check_obs(x))[0]
 
 
 def _upper_tn(d, r):

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from windemos import NumericFailureError
+from windemos import ModelSpec, NumericFailureError, rolling_calibrate
 from windemos.cli import main
+from windemos.dataio import read_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -118,6 +119,27 @@ def test_calibrate_switching_model(tmp_path):
     assert "high" in payload["calibration"]["last_fit"]
     curve = list(csv.reader((out / "twcrpss_vs_threshold.csv").open()))
     assert len(curve) > 1  # skill computed against the TN reference
+
+
+def test_calibrate_reports_fit_counters(tmp_path):
+    # Both branches of every regime-switching day are counted, and the
+    # counts are those of the fits themselves
+    data = _simulate(tmp_path, scenario="switching", days=24)
+    dataset, g, _ = read_dataset(data)
+    spec = ModelSpec("tn-gev", theta=6.0, strategy="shared")
+    fits = [f for pair in rolling_calibrate(spec, g, dataset, 8).fits.values() for f in pair]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        out.mkdir()
+        args = ["calibrate", str(data), "--model", "tn-gev", "--theta", "6.0"]
+        args += ["--strategy", "shared", "--train-days", "8", "--output-dir", str(out)]
+        assert main(args) == 0
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+    calibration = json.loads((outs[0] / "report.json").read_text())["calibration"]
+    assert calibration["n_fits"] == 2 * calibration["n_days_fit"] == len(fits)
+    assert calibration["n_fits_nonconverged"] == sum(not f.converged for f in fits)
+    assert calibration["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
+    assert calibration["n_optimizer_evals"] == sum(f.n_evals for f in fits) > 0
 
 
 @pytest.mark.parametrize("model,hist_classes", [("raw", 9), ("climatology", None)])

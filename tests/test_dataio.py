@@ -122,3 +122,20 @@ def test_bad_header_rejected(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_dataset(tmp_path / "nope.csv")
+
+
+def test_duplicate_date_station_rows_are_rejected(tmp_path):
+    # A second row for the same (date, station) would be counted twice;
+    # the error names the line of the repeat
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "date,station,obs,m1,m2\n"
+        "2024-02-10,A,2.0,1.0,2.0\n"
+        "2024-02-10,B,2.0,1.0,2.0\n"
+        "2024-02-11,A,2.0,1.0,2.0\n"
+        "2024-02-10,A,3.0,1.5,2.5\n"
+    )
+    with pytest.raises(DataFormatError) as info:
+        read_dataset(path)
+    assert info.value.line == 5
+    assert "line 2" in str(info.value)

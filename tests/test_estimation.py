@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from windemos import (
     GEV,
@@ -17,22 +18,32 @@ from windemos import (
     InvalidInputError,
     LnParams,
     ModelSpec,
+    ScenarioConfig,
     TnParams,
     TrainingFallbackWarning,
     TrainingWindow,
     climatology_forecast,
     crps_values,
     days_with_data,
+    default_gev_params,
     default_tn_params,
     fit_gev_ml,
     fit_min_crps,
     fit_switch,
+    generate,
     grid_search,
+    predict_gev,
     predict_ln,
     predict_tn,
     rolling_calibrate,
     rolling_climatology,
     rolling_raw,
+)
+from windemos.estimation import (
+    _gev_objective,
+    _ln_objective,
+    _tn_objective,
+    _window_arrays,
 )
 
 START = datetime.date(2024, 1, 1)
@@ -390,3 +401,263 @@ def test_model_spec_validation():
         ModelSpec("tn-ln")  # mixture without a threshold
     with pytest.raises(InvalidInputError):
         ModelSpec("tn-ln", theta=6.0, strategy="other")
+
+
+# --- gradients of the fit objectives ----------------------------------------
+
+
+def _central(objective, u, h):
+    # Central differences of the objective's value, step h relative to |u_i| >= 1
+    grad = np.empty_like(u)
+    for i in range(u.size):
+        step = np.zeros_like(u)
+        step[i] = h * max(1.0, abs(u[i]))
+        grad[i] = (objective(u + step)[0] - objective(u - step)[0]) / (2.0 * step[i])
+    return grad
+
+
+def _assert_gradient(objective, u, h=1e-6, rtol=1e-5):
+    _, grad = objective(u)
+    want = _central(objective, u, h)
+    np.testing.assert_allclose(grad, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
+    return grad
+
+
+def _arrays(window):
+    return _window_arrays(window, G4)
+
+
+def _crps_window():
+    # TN truth with a few calm cases observed at exactly 0
+    window = _window_from_truth("tn", TN_TRUTH, 80, seed=31)
+    cases = [
+        EnsembleForecast(c.date, c.station, c.members, obs=0.0 if i % 10 == 0 else c.obs)
+        for i, c in enumerate(window.cases)
+    ]
+    return TrainingWindow(1, tuple(cases))
+
+
+@pytest.mark.parametrize("family", ["tn", "ln"])
+def test_crps_objective_gradients_match_central_differences(family):
+    gs, s2, _, obs = _arrays(_crps_window())
+    assert np.any(obs == 0.0)
+    make = _tn_objective if family == "tn" else _ln_objective
+    _assert_gradient(make(gs, s2, obs), np.array([0.3, 0.2, 0.7, 1.1]))
+
+
+def test_tn_objective_gradient_under_deep_truncation():
+    # mu/sigma = -40 on every case: the closed forms are log-domain ratios,
+    # and central differences need a wider step to keep their own digits
+    gs, s2, _, obs = _arrays(_crps_window())
+    objective = _tn_objective(gs, s2, obs)
+    u = np.array([-40.0, 0.0, 1.0, 0.0])
+    assert np.isfinite(objective(u)[0])
+    _assert_gradient(objective, u, h=1e-4)
+
+
+@pytest.mark.parametrize("family", ["tn", "ln"])
+def test_scale_floor_zeroes_the_variance_gradient(family):
+    gs, s2, _, obs = _arrays(_crps_window())
+    make = _tn_objective if family == "tn" else _ln_objective
+    grad = _assert_gradient(make(gs, s2, obs), np.array([0.3, 0.2, 1e-6, 1e-7]))
+    assert grad[2] == 0.0 and grad[3] == 0.0
+
+
+def test_ln_mean_floor_zeroes_the_gradient_of_floored_cases():
+    gs, s2, _, obs = _arrays(_crps_window())
+    # The mean link is below its floor on the cases with the smallest sums
+    u = np.array([-4.0, 0.2, 0.7, 1.1])
+    mean_raw = u[0] + gs[:, 0] * u[1]
+    assert np.any(mean_raw < 1e-3) and np.any(mean_raw > 1e-3)
+    _assert_gradient(_ln_objective(gs, s2, obs), u)
+
+
+def _gev_window(xi, seed=32):
+    truth = GevParams(gamma0=0.4, gamma=(0.22,), sigma0=0.6, sigma1=0.05, xi=xi)
+    return _window_from_truth("gev", truth, 120, seed=seed)
+
+
+@pytest.mark.parametrize("xi", [0.3, -0.2, 2e-6, -2e-6])
+def test_gev_objective_gradient_matches_central_differences(xi):
+    # The truth's own window holds every case inside the support
+    gs, _, fbar, obs = _arrays(_gev_window(xi))
+    u = np.array([0.4, 0.22, 0.6, 0.05, xi])
+    # steps stay off the Gumbel switch at |xi| = 1e-6
+    _assert_gradient(_gev_objective(gs, fbar, obs), u, h=1e-7 if abs(xi) < 1e-3 else 1e-6)
+
+
+def test_gev_scale_floor_passes_no_gradient():
+    # A steep scale link floors the cases with the smallest ensemble means
+    gs, _, fbar, obs = _arrays(_gev_window(0.0))
+    u = np.array([0.4, 0.22, -3.0, 0.6, 0.1])
+    assert np.any(u[2] + u[3] * fbar < 1e-4)
+    _assert_gradient(_gev_objective(gs, fbar, obs), u)
+
+
+@pytest.mark.parametrize("xi", [5e-7, -5e-7])
+def test_gev_gradient_on_the_gumbel_branch_is_the_limit_of_the_score(xi):
+    # Inside |xi| < 1e-6 the objective is the Gumbel likelihood, flat in
+    # xi; the loc/scale gradient is its own, and the xi-derivative is the
+    # limit of the general one, so it matches differences just outside
+    gs, _, fbar, obs = _arrays(_gev_window(0.0))
+    objective = _gev_objective(gs, fbar, obs)
+    u = np.array([0.4, 0.22, 0.6, 0.05, xi])
+    _, grad = objective(u)
+    want = _central(objective, u, 1e-7)
+    scale = np.max(np.abs(want))
+    np.testing.assert_allclose(grad[:4], want[:4], rtol=1e-5, atol=1e-5 * scale)
+    outside = u.copy()
+    outside[4] = 4.0 * xi
+    want_xi = _central(objective, outside, 1e-7)[4]
+    assert grad[4] == pytest.approx(want_xi, rel=1e-5, abs=1e-5 * scale)
+
+
+def test_gev_penalty_gradient_pushes_back_into_the_support():
+    # A high location puts every case below the lower endpoint; each costs
+    # a constant plus its violation -t, whose gradient leads back inside
+    gs, _, fbar, obs = _arrays(_gev_window(0.0))
+    objective = _gev_objective(gs, fbar, obs)
+    u = np.array([10.0, 0.22, 0.6, 0.05, 0.5])
+    assert objective(u)[0] > 1e6
+    grad = _assert_gradient(objective, u)
+    assert grad[0] > 0.0 and grad[4] > 0.0
+
+
+def test_gev_warm_start_off_the_support_or_on_the_floor_restarts_cold():
+    # From such a start the penalty and the floor give the line search
+    # no slope back, so the fit starts where a cold one does
+    window = _window_from_truth("gev", GEV_TRUTH, 200, seed=38)
+    gs, _, fbar, obs = _arrays(window)
+    cold = fit_gev_ml(G4, window)
+    outside = GevParams(gamma0=2.0, gamma=(0.22,), sigma0=0.6, sigma1=0.05, xi=0.5)
+    floored = GevParams(gamma0=0.4, gamma=(0.22,), sigma0=-3.0, sigma1=0.6, xi=0.1)
+    loc = outside.gamma0 + outside.gamma[0] * gs[:, 0]
+    logpdf = GEV(loc, outside.sigma0 + outside.sigma1 * fbar, outside.xi).logpdf(obs)
+    assert np.any(np.isinf(logpdf)) and np.any(np.isfinite(logpdf))
+    assert np.any(floored.sigma0 + floored.sigma1 * fbar < 1e-4)
+    for init in (outside, floored):
+        assert fit_gev_ml(G4, window, init=init).params == cold.params
+
+
+def test_fit_returns_the_best_point_it_evaluated():
+    # On these 13 high-wind cases L-BFGS-B runs into the support penalty
+    # and its stalled line search ends on a trial point outside it
+    g = GroupSpec((8,))
+    data = generate(ScenarioConfig(days=30, stations=3, group_spec=g, truth="switching", seed=2))
+    first = datetime.date(2024, 1, 17)
+    cases = tuple(
+        c
+        for c in data
+        if first <= c.date < first + datetime.timedelta(days=8) and np.median(c.members) >= 6.0
+    )
+    window = TrainingWindow(8, cases)
+    gs, _, fbar, obs = _window_arrays(window, g)
+    objective = _gev_objective(gs, fbar, obs)
+    cold = default_gev_params(g)
+    start = objective(np.array([cold.gamma0, *cold.gamma, cold.sigma0, cold.sigma1, cold.xi]))[0]
+    fit = fit_gev_ml(g, window)
+    p = fit.params
+    assert fit.objective < start
+    assert fit.objective == objective(np.array([p.gamma0, *p.gamma, p.sigma0, p.sigma1, p.xi]))[0]
+
+
+# --- the gradient fit against a Nelder-Mead oracle --------------------------
+
+_NM_OPTIONS = {"maxfev": 5000, "xatol": 1e-6, "fatol": 1e-8, "adaptive": True}
+
+
+def _nelder_mead(objective, u0, squared):
+    """The earlier fit: a simplex plus one restart, nonnegative coordinates as squares."""
+    u0 = np.asarray(u0, dtype=float)
+
+    def value(v):
+        u = v.copy()
+        u[squared] = u[squared] ** 2
+        return objective(u)[0]
+
+    v0 = u0.copy()
+    v0[squared] = np.sqrt(v0[squared])
+    first = optimize.minimize(value, v0, method="Nelder-Mead", options=_NM_OPTIONS)
+    second = optimize.minimize(value, first.x, method="Nelder-Mead", options=_NM_OPTIONS)
+    return min(first.fun, second.fun)
+
+
+def _oracle(family, window):
+    gs, s2, fbar, obs = _arrays(window)
+    if family == "gev":
+        u0 = [0.0, 0.25, 1.0, 1.0, 0.05]
+        return _nelder_mead(_gev_objective(gs, fbar, obs), u0, slice(0, 0))
+    make = _tn_objective if family == "tn" else _ln_objective
+    return _nelder_mead(make(gs, s2, obs), [0.0, 0.25, 1.0, 1.0], slice(1, None))
+
+
+def test_gev_cases_far_in_a_floored_tail_cost_the_penalty():
+    # On this 24-case window an early step floors every scale, where the
+    # cases far below the location would cost up to 1e72; priced at the
+    # penalty, that step no longer ends the fit 0.5 above the simplex.
+    # Its optimum sits on the scale floor, a kink, hence the looser gate
+    g = GroupSpec((8,))
+    data = generate(ScenarioConfig(days=30, stations=3, group_spec=g, truth="switching", seed=2))
+    end = START + datetime.timedelta(days=8)
+    window = TrainingWindow(8, tuple(c for c in data if c.date < end))
+    gs, _, fbar, obs = _window_arrays(window, g)
+    objective = _gev_objective(gs, fbar, obs)
+    assert objective(np.array([-0.02, 0.34, 0.4, -2.0, -0.05]))[0] < 2e6
+    simplex = _nelder_mead(objective, [0.0, 0.125, 1.0, 1.0, 0.05], slice(0, 0))
+    assert fit_gev_ml(g, window).objective < simplex + 1e-3
+
+
+def test_gradient_fit_reaches_the_nelder_mead_objective():
+    frozen = [
+        ("tn", _window_from_truth("tn", TN_TRUTH, 300, seed=34)),
+        ("ln", _window_from_truth("ln", LN_TRUTH, 300, seed=35)),
+        ("gev", _window_from_truth("gev", GEV_TRUTH, 300, seed=36)),
+    ]
+    for family, window in frozen:
+        if family == "gev":
+            fit = fit_gev_ml(G4, window)
+        else:
+            fit = fit_min_crps(family, G4, window)
+        assert fit.converged
+        assert fit.objective <= _oracle(family, window) + 1e-7, family
+
+
+def test_split_fit_branches_reach_the_nelder_mead_objective():
+    window = _switch_window(np.random.default_rng(33), 40, 40, 6.0)
+    below = np.array([np.median(c.members) for c in window.cases]) < 6.0
+    low = TrainingWindow(1, tuple(c for c, b in zip(window.cases, below) if b))
+    high = TrainingWindow(1, tuple(c for c, b in zip(window.cases, below) if not b))
+    for family in ("ln", "gev"):
+        low_fit, high_fit = fit_switch(ModelSpec(f"tn-{family}", theta=6.0), G4, window)
+        assert low_fit.objective <= _oracle("tn", low) + 1e-7
+        assert high_fit.objective <= _oracle(family, high) + 1e-7, family
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    ("family", "truth"), [("tn", "switching"), ("ln", "switching"), ("gev", "gev")]
+)
+def test_rolling_fits_need_few_evaluations(family, truth):
+    g = GroupSpec((8,))
+    cfg = ScenarioConfig(days=30, stations=5, group_spec=g, truth=truth, seed=7)
+    calib = rolling_calibrate(ModelSpec(family), g, generate(cfg), 20)
+    fits = list(calib.fits.values())
+    assert len(fits) == 10
+    assert all(f.converged for f in fits)
+    assert sum(f.n_evals for f in fits) / len(fits) < 100
+
+
+# --- the GEV shape stays below 1 --------------------------------------------
+
+
+def test_gev_fit_keeps_the_shape_below_one():
+    # Data from xi = 1.2 have no mean; the fit stops at the bound, where
+    # the predictive mean and CRPS still exist
+    truth = GevParams(gamma0=0.4, gamma=(0.22,), sigma0=0.6, sigma1=0.05, xi=1.2)
+    window = _window_from_truth("gev", truth, 300, seed=37)
+    obs = np.array([c.obs for c in window.cases])
+    for init in (None, truth):
+        fit = fit_gev_ml(G4, window, init=init)
+        assert fit.params.xi < 1.0
+        preds = [predict_gev(fit.params, G4, c) for c in window.cases]
+        assert np.all(np.isfinite(crps_values(preds, obs)))
