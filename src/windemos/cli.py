@@ -38,8 +38,10 @@ from .errors import (
     UndefinedSkillError,
 )
 from .estimation import (
+    FAMILIES,
+    MIXTURES,
+    CaseTable,
     ModelSpec,
-    days_with_data,
     grid_search,
     rolling_calibrate,
     rolling_climatology,
@@ -52,7 +54,6 @@ from .verification import build_report
 
 logger = logging.getLogger(__name__)
 
-_FAMILIES = ("tn", "ln", "gev", "tn-ln", "tn-gev")
 _CURVE_PERCENTILES = (50.0, 60.0, 70.0, 75.0, 80.0, 85.0, 90.0, 95.0, 97.0, 99.0)
 
 _SCENARIOS = {
@@ -149,7 +150,7 @@ def _thresholds_arg(args):
 
 def _model_spec(args):
     theta = getattr(args, "theta", None)
-    if args.model in ("tn-ln", "tn-gev"):
+    if args.model in MIXTURES:
         if theta is None:
             raise ConfigError(f"model {args.model} needs --theta")
         return ModelSpec(args.model, theta=float(theta), strategy=args.strategy)
@@ -174,6 +175,7 @@ def _calibration_summary(calib):
         "n_fits_nonconverged": sum(not f.converged for f in fits),
         "n_fits_at_floor": sum(f.at_boundary for f in fits),
         "n_optimizer_evals": sum(f.n_evals for f in fits),
+        "n_split_fallbacks": calib.n_split_fallbacks,
         "n_cases": len(calib.pairs),
         "skipped": [[day.isoformat(), reason] for day, reason in calib.skipped],
         "last_day": None if last_day is None else last_day.isoformat(),
@@ -211,9 +213,10 @@ def _rank_rows(report):
 
 
 def cmd_calibrate(args):
-    dataset, g, _ = read_dataset(args.data, args.groups)
+    dataset, g, dropped = read_dataset(args.data, args.groups)
     model = _model_spec(args)
-    calib = rolling_calibrate(model, g, dataset, args.train_days)
+    table = CaseTable(dataset, g)
+    calib = rolling_calibrate(model, g, table, args.train_days)
     if not calib.pairs:
         raise InsufficientDataError(
             f"no day has {args.train_days} prior days of training data"
@@ -233,7 +236,7 @@ def cmd_calibrate(args):
     if args.model == "tn":
         ref_forecasts = forecasts
     else:
-        ref = rolling_calibrate(ModelSpec("tn"), g, dataset, args.train_days)
+        ref = rolling_calibrate(ModelSpec("tn"), g, table, args.train_days)
         ref_forecasts = [dist for _, dist in ref.pairs]
     obs = np.array([c.obs for c in cases], dtype=float)
     curve = _skill_curve_rows(forecasts, ref_forecasts, obs)
@@ -250,6 +253,7 @@ def cmd_calibrate(args):
             "bins": args.bins,
             "seed": args.seed,
         },
+        "n_rows_dropped": dropped,
         "calibration": _calibration_summary(calib),
         "report": report.to_dict(),
     }
@@ -272,7 +276,7 @@ def cmd_calibrate(args):
 
 
 def cmd_verify(args):
-    dataset, _, _ = read_dataset(args.data, args.groups)
+    dataset, _, dropped = read_dataset(args.data, args.groups)
     if args.model == "raw":
         pairs, skipped = rolling_raw(dataset, args.train_days)
     else:
@@ -302,6 +306,7 @@ def cmd_verify(args):
             "thresholds": args.thresholds,
             "seed": args.seed,
         },
+        "n_rows_dropped": dropped,
         "alignment": {
             "n_cases": len(pairs),
             "skipped": [[day.isoformat(), reason] for day, reason in skipped],
@@ -320,9 +325,10 @@ def cmd_verify(args):
 
 
 def cmd_grid_search(args):
-    dataset, g, _ = read_dataset(args.data, args.groups)
+    dataset, g, dropped = read_dataset(args.data, args.groups)
+    table = CaseTable(dataset, g)
     lengths = _parse_values(args.train_days, lambda v: int(round(v)), "--train-days")
-    mixture = args.model in ("tn-ln", "tn-gev")
+    mixture = args.model in MIXTURES
     thetas = None
     if mixture:
         if args.theta is None:
@@ -337,8 +343,7 @@ def cmd_grid_search(args):
     # Selection days default to the first half of the days every grid
     # cell can score; the final report is built on the remaining half so
     # selection and assessment never share a day.
-    dates = list(days_with_data(dataset))
-    eligible = dates[max(lengths) :]
+    eligible = list(table.dates[max(lengths) :])
     if not eligible:
         raise InsufficientDataError("no day has enough history for the longest window")
     if args.selection == "first-half":
@@ -350,7 +355,7 @@ def cmd_grid_search(args):
         holdout_days = eligible
 
     result = grid_search(
-        model, g, dataset, lengths, thetas=thetas, selection_days=selection_days
+        model, g, table, lengths, thetas=thetas, selection_days=selection_days
     )
 
     chosen = ModelSpec(
@@ -361,7 +366,7 @@ def cmd_grid_search(args):
     report_block = None
     if holdout_days:
         calib = rolling_calibrate(
-            chosen, g, dataset, result.chosen_length, days=holdout_days
+            chosen, g, table, result.chosen_length, days=holdout_days
         )
         if calib.pairs:
             cases = [case for case, _ in calib.pairs]
@@ -402,6 +407,7 @@ def cmd_grid_search(args):
             "thresholds": args.thresholds,
             "seed": args.seed,
         },
+        "n_rows_dropped": dropped,
         "grid": {
             "chosen_train_days": result.chosen_length,
             "chosen_theta": result.chosen_theta,
@@ -474,7 +480,7 @@ def build_parser():
     cal = sub.add_parser("calibrate", help="rolling calibration plus verification report")
     cal.add_argument("data", help="dataset CSV (date,station,obs,m1..mM)")
     cal.add_argument("--groups", default=None, help="group map path (default <data>.groups)")
-    cal.add_argument("--model", choices=_FAMILIES, default="tn")
+    cal.add_argument("--model", choices=FAMILIES, default="tn")
     cal.add_argument("--theta", type=float, default=None, help="switching threshold")
     cal.add_argument("--strategy", choices=("split", "shared"), default="split")
     cal.add_argument("--train-days", type=int, default=30, help="rolling window length")
@@ -498,7 +504,7 @@ def build_parser():
     grid = sub.add_parser("grid-search", help="training-length / threshold selection")
     grid.add_argument("data")
     grid.add_argument("--groups", default=None)
-    grid.add_argument("--model", choices=_FAMILIES, default="tn")
+    grid.add_argument("--model", choices=FAMILIES, default="tn")
     grid.add_argument(
         "--train-days", default="20..40:5", help="grid of window lengths (lo..hi:step)"
     )

@@ -10,11 +10,14 @@ bounds keep the TN and LN weights and variance coefficients
 nonnegative and the GEV shape below 1, where the predictive mean and
 CRPS exist.
 
-Rolling calibration refits daily on the n most recent prior days that
-have any data, pooling all stations, warm-starting each day from the
-previous day's solution.  Grid search evaluates (training length,
-threshold) cells on a shared selection-day set aligned to the longest
-window.
+A dataset is parsed once into a `CaseTable`: its cases sorted by date,
+with the columns every link and fit reads (`CaseRows`).  Rolling
+calibration refits daily on the n most recent prior days that have any
+data, pooling all stations, warm-starting each day from the previous
+day's solution; that window is one row slice of the table, and each
+target day is predicted with one link call per branch.  Grid search
+evaluates (training length, threshold) cells on a shared selection-day
+set aligned to the longest window, all on one table.
 """
 
 import dataclasses
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .distributions import _SMALL_XI, GEV
+from .distributions import _SMALL_XI, GEV, LogNormal, MeanVariance, TruncatedNormal
 from .errors import (
     EstimationError,
     InsufficientDataError,
@@ -36,16 +39,14 @@ from .models import (
     SCALE_FLOOR,
     GevParams,
     LnParams,
-    RegimeSwitchConfig,
     TnParams,
-    predict_gev,
-    predict_ln,
-    predict_switch,
-    predict_tn,
+    gev_link,
+    ln_link,
+    tn_link,
 )
 from .scoring import Empirical, _crps_ln_grad, _crps_tn_grad, crps_values
 
-_FAMILIES = ("tn", "ln", "gev", "tn-ln", "tn-gev")
+MIXTURES = ("tn-ln", "tn-gev")
 # L-BFGS-B stopping rules; each fit runs it twice (see `_fit`)
 _FIT_OPTIONS = {"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-7}
 # The GEV shape stays below 1, where the mean and the CRPS exist
@@ -65,18 +66,21 @@ class ModelSpec:
     strategy: str = "split"
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise InvalidInputError(f"unknown model family {self.family!r}")
         if self.is_mixture:
             if self.theta is None:
                 raise InvalidInputError("mixture models need a threshold theta")
-            object.__setattr__(self, "theta", float(self.theta))
+            theta = float(self.theta)
+            if np.isnan(theta) or theta < 0.0:
+                raise InvalidInputError("theta must be >= 0 (inf allowed)")
+            object.__setattr__(self, "theta", theta)
         if self.strategy not in ("split", "shared"):
             raise InvalidInputError("strategy must be 'split' or 'shared'")
 
     @property
     def is_mixture(self):
-        return self.family in ("tn-ln", "tn-gev")
+        return self.family in MIXTURES
 
     @property
     def high_family(self):
@@ -114,6 +118,7 @@ class CalibrationResult:
     pairs: list = field(default_factory=list)  # (EnsembleForecast, distribution)
     fits: dict = field(default_factory=dict)  # date -> FitResult | (low, high)
     skipped: list = field(default_factory=list)  # (date, reason)
+    n_split_fallbacks: int = 0  # split-strategy days trained shared instead
 
 
 @dataclass
@@ -125,18 +130,89 @@ class GridSearchResult:
     n_cases: int
 
 
-def _window_arrays(window, g):
-    cases = window.cases
-    if len(cases) == 0:
+@dataclass(frozen=True, eq=False)
+class CaseRows:
+    """Forecast cases as columns, one row per case, for one GroupSpec.
+
+    `obs` (NaN where a case has none), the per-group member sums `gs`,
+    the unbiased ensemble variance `s2`, the ensemble mean `fbar` and the
+    ensemble median: everything the links and the fits read.  Indexing
+    by a slice or a boolean mask gives the CaseRows of those rows.
+    """
+
+    obs: np.ndarray
+    gs: np.ndarray
+    s2: np.ndarray
+    fbar: np.ndarray
+    median: np.ndarray
+
+    @classmethod
+    def of(cls, cases, g):
+        if cases:
+            members = np.array([c.members for c in cases], dtype=float)
+        else:
+            members = np.empty((0, g.total))
+        obs = np.array([np.nan if c.obs is None else c.obs for c in cases], dtype=float)
+        return cls(
+            obs,
+            g.group_sums(members),
+            np.var(members, axis=1, ddof=1),
+            np.mean(members, axis=1),
+            np.median(members, axis=1),
+        )
+
+    def __len__(self):
+        return self.obs.size
+
+    def __getitem__(self, index):
+        return CaseRows(
+            self.obs[index], self.gs[index], self.s2[index], self.fbar[index], self.median[index]
+        )
+
+
+class CaseTable:
+    """A dataset's cases sorted by date, with their columns.
+
+    The sort is stable, so each day keeps the dataset's order of its
+    cases.  Day i (of `dates`) holds rows `bounds[i]:bounds[i + 1]`, so
+    the n days before it are one row slice.  Without a GroupSpec the
+    table has no columns (`rows` is None): the baselines need only the
+    days.
+    """
+
+    def __init__(self, dataset, g=None):
+        self.cases = tuple(sorted(dataset, key=lambda c: c.date))
+        self.g = g
+        starts = [k for k, c in enumerate(self.cases) if k == 0 or c.date != self.cases[k - 1].date]
+        self.dates = tuple(self.cases[k].date for k in starts)
+        self.bounds = (*starts, len(self.cases))
+        self.rows = None if g is None else CaseRows.of(self.cases, g)
+
+
+def _as_table(dataset, g=None):
+    # The dataset's CaseTable: a table passed in is reused as it is
+    if not isinstance(dataset, CaseTable):
+        return CaseTable(dataset, g)
+    if g is not None and dataset.g != g:
+        raise InvalidInputError("the case table was built for another group spec")
+    return dataset
+
+
+def _training_rows(window, g):
+    # A training window's rows: CaseRows as given, or built from the
+    # cases of a TrainingWindow
+    rows = window if isinstance(window, CaseRows) else CaseRows.of(window.cases, g)
+    if len(rows) == 0:
         raise InsufficientDataError("training window is empty")
-    members = np.array([c.members for c in cases], dtype=float)
-    if any(c.obs is None for c in cases):
+    if np.any(np.isnan(rows.obs)):
         raise InvalidInputError("every training case needs an observation")
-    obs = np.array([c.obs for c in cases], dtype=float)
-    gs = g.group_sums(members)
-    s2 = np.var(members, axis=1, ddof=1)
-    fbar = np.mean(members, axis=1)
-    return gs, s2, fbar, obs
+    return rows
+
+
+def _window_arrays(window, g):
+    """Group sums, s2, ensemble mean and obs of a TrainingWindow or CaseRows."""
+    rows = _training_rows(window, g)
+    return rows.gs, rows.s2, rows.fbar, rows.obs
 
 
 def default_tn_params(g):
@@ -367,14 +443,19 @@ def fit_gev_ml(g, window, init=None):
     return FitResult(params, fun, converged, evals, boundary)
 
 
-def _median_per_case(cases):
-    return np.median(np.array([c.members for c in cases], dtype=float), axis=1)
+def _split_mask(model, rows):
+    """The below-theta mask of a split fit, or None where it trains shared.
 
-
-def _fit_high(high_family, g, window, init):
-    if high_family == "ln":
-        return fit_min_crps("ln", g, window, init=init)
-    return fit_gev_ml(g, window, init=init)
+    Split training falls back to shared when either side of theta has
+    fewer than 10 cases.
+    """
+    if model.strategy != "split":
+        return None
+    below = rows.median < model.theta
+    n_low = int(np.sum(below))
+    if min(n_low, below.size - n_low) < _MIN_SPLIT_CASES:
+        return None
+    return below
 
 
 def fit_switch(model, g, window, init_low=None, init_high=None):
@@ -383,70 +464,104 @@ def fit_switch(model, g, window, init_low=None, init_high=None):
     Split strategy: TN on cases with ensemble median below theta, the
     high-wind family at or above.  Falls back to the shared strategy
     (both branches on the full window) when either side has fewer than
-    10 cases.
+    10 cases.  `window` is a TrainingWindow or the CaseRows of one.
     """
     if not model.is_mixture:
         raise InvalidInputError("fit_switch needs a mixture model spec")
-    cases = window.cases
-    if len(cases) == 0:
-        raise InsufficientDataError("training window is empty")
-    low_cases, high_cases = cases, cases
-    if model.strategy == "split":
-        med = _median_per_case(cases)
-        below = med < model.theta
-        n_low, n_high = int(np.sum(below)), int(np.sum(~below))
-        if n_low >= _MIN_SPLIT_CASES and n_high >= _MIN_SPLIT_CASES:
-            low_cases = tuple(c for c, b in zip(cases, below) if b)
-            high_cases = tuple(c for c, b in zip(cases, below) if not b)
-        else:
-            warnings.warn(
-                f"split training has {n_low}/{n_high} cases below/above theta; "
-                "falling back to shared training",
-                TrainingFallbackWarning,
-                stacklevel=2,
-            )
-    low_fit = fit_min_crps("tn", g, TrainingWindow(window.n, low_cases), init=init_low)
-    high_fit = _fit_high(
-        model.high_family, g, TrainingWindow(window.n, high_cases), init=init_high
-    )
+    rows = _training_rows(window, g)
+    low, high = rows, rows
+    below = _split_mask(model, rows)
+    if below is not None:
+        low, high = rows[below], rows[~below]
+    elif model.strategy == "split":
+        n_low = int(np.sum(rows.median < model.theta))
+        warnings.warn(
+            f"split training has {n_low}/{len(rows) - n_low} cases below/above theta; "
+            "falling back to shared training",
+            TrainingFallbackWarning,
+            stacklevel=2,
+        )
+    low_fit = _FAMILY_TABLE["tn"].fit(g, low, init_low)
+    high_fit = _FAMILY_TABLE[model.high_family].fit(g, high, init_high)
     return low_fit, high_fit
 
 
-def _by_date(dataset):
-    days = {}
-    for case in dataset:
-        days.setdefault(case.date, []).append(case)
-    return {d: days[d] for d in sorted(days)}
+def _tn_laws(p, rows):
+    loc, scale = tn_link(p, rows.gs, rows.s2)
+    return [TruncatedNormal(mu, sigma) for mu, sigma in zip(loc, scale)]
+
+
+def _ln_laws(p, rows):
+    laws = MeanVariance(*ln_link(p, rows.gs, rows.s2)).to_lognormal()
+    return [LogNormal(mu, sigma) for mu, sigma in zip(laws.mu, laws.sigma)]
+
+
+def _gev_laws(p, rows):
+    loc, scale = gev_link(p, rows.gs, rows.fbar)
+    return [GEV(mu, sigma, p.xi) for mu, sigma in zip(loc, scale)]
+
+
+@dataclass(frozen=True)
+class _Family:
+    fit: object  # (g, training window, init params) -> FitResult
+    laws: object  # (params, CaseRows) -> a predictive law per row
+
+
+# The fits name the module's functions at call time, so a wrapper put on
+# the module (a profiler's, say) sees every fit.
+_FAMILY_TABLE = {
+    "tn": _Family(lambda g, window, init: fit_min_crps("tn", g, window, init=init), _tn_laws),
+    "ln": _Family(lambda g, window, init: fit_min_crps("ln", g, window, init=init), _ln_laws),
+    "gev": _Family(lambda g, window, init: fit_gev_ml(g, window, init=init), _gev_laws),
+}
+FAMILIES = (*_FAMILY_TABLE, *MIXTURES)
+
+
+def _fit_day(model, g, rows, prev):
+    # One day's fit, warm-started from the previous day's (None: cold)
+    if model.is_mixture:
+        low, high = (None, None) if prev is None else (prev[0].params, prev[1].params)
+        return fit_switch(model, g, rows, init_low=low, init_high=high)
+    return _FAMILY_TABLE[model.family].fit(g, rows, None if prev is None else prev.params)
+
+
+def _predict(model, fit, rows):
+    """The predictive law of every row, one link call per branch.
+
+    A mixture predicts TN where the ensemble median is below theta and
+    its high-wind family elsewhere, as `predict_switch` does per case.
+    """
+    if not model.is_mixture:
+        return _FAMILY_TABLE[model.family].laws(fit.params, rows)
+    below = rows.median < model.theta
+    low = iter(_FAMILY_TABLE["tn"].laws(fit[0].params, rows[below]))
+    high = iter(_FAMILY_TABLE[model.high_family].laws(fit[1].params, rows[~below]))
+    return [next(low) if b else next(high) for b in below]
 
 
 def days_with_data(dataset):
     """Sorted distinct dates that have at least one case."""
-    return tuple(_by_date(dataset))
+    return tuple(sorted({c.date for c in dataset}))
 
 
-def _fit_for_day(model, g, window, prev):
-    if model.family == "tn":
-        return fit_min_crps("tn", g, window, init=prev.params if prev else None)
-    if model.family == "ln":
-        return fit_min_crps("ln", g, window, init=prev.params if prev else None)
-    if model.family == "gev":
-        return fit_gev_ml(g, window, init=prev.params if prev else None)
-    init_low = prev[0].params if prev else None
-    init_high = prev[1].params if prev else None
-    return fit_switch(model, g, window, init_low=init_low, init_high=init_high)
+def _windows(table, n, days, skipped):
+    """The target days that have n prior days with data.
 
-
-def _predict_for_case(model, g, fit, case):
-    if model.family == "tn":
-        return predict_tn(fit.params, g, case)
-    if model.family == "ln":
-        return predict_ln(fit.params, g, case)
-    if model.family == "gev":
-        return predict_gev(fit.params, g, case)
-    config = RegimeSwitchConfig(
-        model.theta, fit[0].params, fit[1].params, model.strategy
-    )
-    return predict_switch(config, g, case)
+    Yields (day, training rows, the day's rows) as row slices of the
+    table; the window pools every station over the n most recent prior
+    days that have any data.  `days` optionally restricts the target
+    days; a wanted day with fewer prior days is appended to `skipped`
+    with its reason.
+    """
+    wanted = None if days is None else set(days)
+    b = table.bounds
+    for i, day in enumerate(table.dates):
+        if wanted is not None and day not in wanted:
+            continue
+        if i < n:
+            skipped.append((day, f"only {i} prior days with data, need {n}"))
+            continue
+        yield day, slice(b[i - n], b[i]), slice(b[i], b[i + 1])
 
 
 def rolling_calibrate(model, g, dataset, n, days=None, warm_start=True):
@@ -455,27 +570,19 @@ def rolling_calibrate(model, g, dataset, n, days=None, warm_start=True):
     The window for a target day holds the n most recent prior days that
     have any data (pooled across stations); days with fewer prior days
     are skipped with a report entry.  `days` optionally restricts which
-    target days are fitted and predicted.
+    target days are fitted and predicted.  `dataset` is a list of cases
+    or a CaseTable built for `g`.
     """
-    by_date = _by_date(dataset)
-    dates = list(by_date)
-    wanted = None if days is None else set(days)
+    table = _as_table(dataset, g)
     result = CalibrationResult(model=model)
     prev = None
-    for i, day in enumerate(dates):
-        if wanted is not None and day not in wanted:
-            continue
-        if i < n:
-            result.skipped.append((day, f"only {i} prior days with data, need {n}"))
-            continue
-        window_cases = []
-        for d in dates[i - n : i]:
-            window_cases.extend(by_date[d])
-        window = TrainingWindow(n, tuple(window_cases))
-        fit = _fit_for_day(model, g, window, prev if warm_start else None)
+    for day, window, target in _windows(table, n, days, result.skipped):
+        rows = table.rows[window]
+        if model.is_mixture and model.strategy == "split" and _split_mask(model, rows) is None:
+            result.n_split_fallbacks += 1
+        fit = _fit_day(model, g, rows, prev if warm_start else None)
         result.fits[day] = fit
-        for case in by_date[day]:
-            result.pairs.append((case, _predict_for_case(model, g, fit, case)))
+        result.pairs.extend(zip(table.cases[target], _predict(model, fit, table.rows[target])))
         prev = fit
     return result
 
@@ -509,20 +616,13 @@ def climatology_forecast(window, station):
 
 def rolling_climatology(dataset, n, days=None):
     """Per-day climatological forecasts over the same rolling windows."""
-    by_date = _by_date(dataset)
-    dates = list(by_date)
-    wanted = None if days is None else set(days)
+    table = _as_table(dataset)
     pairs, skipped = [], []
-    for i, day in enumerate(dates):
-        if wanted is not None and day not in wanted:
-            continue
-        if i < n:
-            skipped.append((day, f"only {i} prior days with data, need {n}"))
-            continue
+    for _, window, target in _windows(table, n, days, skipped):
         # Group the window's observations by station once per day
-        by_station = _obs_by_station(c for d in dates[i - n : i] for c in by_date[d])
+        by_station = _obs_by_station(table.cases[window])
         per_station = {}
-        for case in by_date[day]:
+        for case in table.cases[target]:
             if case.station not in per_station:
                 per_station[case.station] = _climatology(by_station, case.station)
             pairs.append((case, per_station[case.station]))
@@ -531,18 +631,10 @@ def rolling_climatology(dataset, n, days=None):
 
 def rolling_raw(dataset, n, days=None):
     """Raw-ensemble forecasts on the days a length-n calibration covers."""
-    by_date = _by_date(dataset)
-    dates = list(by_date)
-    wanted = None if days is None else set(days)
+    table = _as_table(dataset)
     pairs, skipped = [], []
-    for i, day in enumerate(dates):
-        if wanted is not None and day not in wanted:
-            continue
-        if i < n:
-            skipped.append((day, f"only {i} prior days with data, need {n}"))
-            continue
-        for case in by_date[day]:
-            pairs.append((case, Empirical(case.members)))
+    for _, _, target in _windows(table, n, days, skipped):
+        pairs.extend((case, Empirical(case.members)) for case in table.cases[target])
     return pairs, skipped
 
 
@@ -557,7 +649,8 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
 
     Every cell is scored on the same selection days, which must each
     have at least max(lengths) prior days of data.  Ties within 1e-9
-    resolve to the larger length, then the larger theta.
+    resolve to the larger length, then the larger theta.  `dataset` is a
+    list of cases or a CaseTable built for `g`.
     """
     lengths = sorted({int(n) for n in lengths})
     if not lengths:
@@ -569,8 +662,8 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
     else:
         thetas = [None]
 
-    by_date = _by_date(dataset)
-    dates = list(by_date)
+    table = _as_table(dataset, g)
+    dates = table.dates
     n_max = max(lengths)
     eligible = dates[n_max:]
     if not eligible:
@@ -588,28 +681,26 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
     n_cases = None
     for n in lengths:
         if not model.is_mixture:
-            calib = rolling_calibrate(model, g, dataset, n, days=days)
+            calib = rolling_calibrate(model, g, table, n, days=days)
             cells[(n, None)] = _mean_crps_of_pairs(calib.pairs)
             n_cases = len(calib.pairs)
         elif model.strategy == "shared":
             # Shared-strategy fits do not depend on theta: fit once per
-            # length, then reassemble predictions per threshold.
+            # length, then predict each day again per threshold.
             base = ModelSpec(model.family, theta=thetas[0], strategy="shared")
-            calib = rolling_calibrate(base, g, dataset, n, days=days)
-            by_day_fit = calib.fits
+            calib = rolling_calibrate(base, g, table, n, days=days)
             for theta in thetas:
                 spec = ModelSpec(model.family, theta=theta, strategy="shared")
                 pairs = []
-                for day in days:
-                    fit = by_day_fit[day]
-                    for case in by_date[day]:
-                        pairs.append((case, _predict_for_case(spec, g, fit, case)))
+                for day, _, target in _windows(table, n, days, []):
+                    laws = _predict(spec, calib.fits[day], table.rows[target])
+                    pairs.extend(zip(table.cases[target], laws))
                 cells[(n, theta)] = _mean_crps_of_pairs(pairs)
                 n_cases = len(pairs)
         else:
             for theta in thetas:
                 spec = ModelSpec(model.family, theta=theta, strategy="split")
-                calib = rolling_calibrate(spec, g, dataset, n, days=days)
+                calib = rolling_calibrate(spec, g, table, n, days=days)
                 cells[(n, theta)] = _mean_crps_of_pairs(calib.pairs)
                 n_cases = len(calib.pairs)
 

@@ -255,32 +255,41 @@ def gev_link(p, group_sums, fbar, warn=True):
     return loc, np.maximum(raw, SCALE_FLOOR)
 
 
-def predict_tn(p, g, f):
-    """Truncated-normal predictive law for one forecast case."""
-    stats = ensemble_stats(f)
+def _predict_tn(p, g, f, stats):
     loc, scale = tn_link(p, g.group_sums(f.members), stats.variance)
     return TruncatedNormal(loc, scale)
 
 
-def predict_ln(p, g, f):
-    """Log-normal predictive law for one forecast case."""
-    stats = ensemble_stats(f)
+def _predict_ln(p, g, f, stats):
     m, v = ln_link(p, g.group_sums(f.members), stats.variance)
     return MeanVariance(m, v).to_lognormal()
 
 
-def predict_gev(p, g, f):
-    """GEV predictive law for one forecast case."""
-    stats = ensemble_stats(f)
+def _predict_gev(p, g, f, stats):
     loc, scale = gev_link(p, g.group_sums(f.members), stats.mean)
     return GEV(loc, scale, p.xi)
+
+
+def predict_tn(p, g, f):
+    """Truncated-normal predictive law for one forecast case."""
+    return _predict_tn(p, g, f, ensemble_stats(f))
+
+
+def predict_ln(p, g, f):
+    """Log-normal predictive law for one forecast case."""
+    return _predict_ln(p, g, f, ensemble_stats(f))
+
+
+def predict_gev(p, g, f):
+    """GEV predictive law for one forecast case."""
+    return _predict_gev(p, g, f, ensemble_stats(f))
 
 
 def predict_switch(c, g, f):
     """Regime-switching prediction: TN below theta, high model at or above."""
     stats = ensemble_stats(f)
     if stats.median < c.theta:
-        return predict_tn(c.low_params, g, f)
+        return _predict_tn(c.low_params, g, f, stats)
     if isinstance(c.high_params, LnParams):
-        return predict_ln(c.high_params, g, f)
-    return predict_gev(c.high_params, g, f)
+        return _predict_ln(c.high_params, g, f, stats)
+    return _predict_gev(c.high_params, g, f, stats)

@@ -45,6 +45,11 @@ _LOG2 = math.log(2.0)
 _TAIL_PROB = 1e-6
 _QUAD_TOL = 1e-8
 
+# Past these z = (x - mu)/sigma the Gumbel CRPS takes its E1 limit, and
+# its upper-tail integral the series of E1 (see `_crps_gumbel`, `_upper_gumbel`)
+_GUMBEL_E1_LIMIT = 40.0
+_GUMBEL_SERIES_FROM = 7.0
+
 
 class Empirical:
     """Empirical distribution carried by a finite sample.
@@ -240,6 +245,40 @@ def _gev_terms(d, x):
     return z, gumbel, xi, t, x - d.mu + d.sigma / xi, d.sigma / xi * special.gamma(1.0 - xi)
 
 
+def _on_gumbel_rows(form, gumbel, z, sigma):
+    """form(z, sigma) on the Gumbel rows of a GEV batch, 0 on the others."""
+    shape = np.broadcast_shapes(np.shape(gumbel), np.shape(z), np.shape(sigma))
+    rows = np.broadcast_to(gumbel, shape)
+    out = np.zeros(shape)
+    if np.any(rows):
+        out[rows] = form(np.broadcast_to(z, shape)[rows], np.broadcast_to(sigma, shape)[rows])
+    return out
+
+
+def _crps_gumbel(z, sigma):
+    # sigma (gamma - log 2 - z + 2 E1(e^-z)).  E1(e) = -gamma - log e + e
+    # - ..., and past z = 40 the e is below the rounding of z - gamma, so
+    # that limit is taken before e^-z underflows (z > 745) to E1(0) = inf
+    with np.errstate(over="ignore"):
+        e1 = special.exp1(np.exp(-np.minimum(z, _GUMBEL_E1_LIMIT)))
+    e1 = np.where(z > _GUMBEL_E1_LIMIT, z - np.euler_gamma, e1)
+    return sigma * (np.euler_gamma - _LOG2 - z + 2.0 * e1)
+
+
+def _upper_gumbel(z, sigma):
+    # sigma (gamma - log 2 - z + 2 E1(e) - E1(2e)), e = e^-z.  Past z = 7
+    # the terms cancel to the series of E1, sigma (e^2/2 - e^3/3 + 7e^4/48
+    # - e^5/20 + 31e^6/2160 - ...), which is taken instead (truncated at
+    # e^7/280 < 1e-17 of the value)
+    far = z > _GUMBEL_SERIES_FROM
+    with np.errstate(over="ignore"):
+        e = np.exp(-z)
+    e_near, e = np.where(far, 1.0, e), np.where(far, e, 0.0)
+    near = np.euler_gamma - _LOG2 - z + 2.0 * special.exp1(e_near) - special.exp1(2.0 * e_near)
+    series = e * e * (0.5 + e * (-1.0 / 3.0 + e * (7.0 / 48.0 + e * (-0.05 + e * 31.0 / 2160.0))))
+    return sigma * np.where(far, series, near)
+
+
 def _crps_gev(d, x):
     """Closed-form CRPS of a GEV forecast.
 
@@ -248,8 +287,7 @@ def _crps_gev(d, x):
     uses the exponential integral E1.  Defined for xi < 1 only.
     """
     z, gumbel, xi, t, lin, g = _gev_terms(d, x)
-    with np.errstate(over="ignore"):
-        gum = d.sigma * (np.euler_gamma - _LOG2 - z + 2.0 * special.exp1(np.exp(-z)))
+    gum = _on_gumbel_rows(_crps_gumbel, gumbel, z, d.sigma)
     general = lin * (2.0 * np.exp(-t) - 1.0) + g * (2.0 * special.gammainc(1.0 - xi, t) - 2.0**xi)
     return np.where(gumbel, gum, general)
 
@@ -261,11 +299,7 @@ def _upper_gev(d, r):
     maximum is GEV again; both partial means are incomplete gamma terms.
     """
     z, gumbel, xi, t, lin, g = _gev_terms(d, r)
-    with np.errstate(over="ignore"):
-        e = np.exp(-z)
-        gum = d.sigma * (
-            np.euler_gamma - _LOG2 - z + 2.0 * special.exp1(e) - special.exp1(2.0 * e)
-        )
+    gum = _on_gumbel_rows(_upper_gumbel, gumbel, z, d.sigma)
     s = 1.0 - xi
     partial = 2.0 * special.gammainc(s, t) - 2.0**xi * special.gammainc(s, 2.0 * t)
     general = g * partial - lin * np.expm1(-t) ** 2

@@ -309,3 +309,40 @@ def test_module_entrypoint_and_log_level(tmp_path):
     )
     assert proc.returncode == 1
     assert "ERROR" in proc.stderr
+
+
+def test_reports_count_dropped_rows(tmp_path):
+    # One row loses its observation and another a member: both are dropped
+    data = _simulate(tmp_path)
+    lines = data.read_text().splitlines()
+    for line, field in ((5, 2), (9, 6)):
+        fields = lines[line].split(",")
+        fields[field] = ""
+        lines[line] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    runs = {
+        "calibrate": ["calibrate", str(data), "--train-days", "8"],
+        "verify": ["verify", str(data), "--train-days", "8"],
+        "grid-search": ["grid-search", str(data), "--train-days", "6,8"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        out.mkdir()
+        assert main(argv + ["--output-dir", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["n_rows_dropped"] == 2, name
+
+
+def test_calibrate_reports_split_fallbacks(tmp_path):
+    # On some 8-day windows fewer than 10 ensemble medians lie on one
+    # side of theta, and those days train both branches on the full window
+    data = _simulate(tmp_path, scenario="switching", days=24)
+    dataset, g, _ = read_dataset(data)
+    want = rolling_calibrate(ModelSpec("tn-ln", theta=6.0), g, dataset, 8).n_split_fallbacks
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        out.mkdir()
+        args = ["calibrate", str(data), "--model", "tn-ln", "--theta", "6.0"]
+        assert main(args + ["--train-days", "8", "--output-dir", str(out)]) == 0
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+    calibration = json.loads((outs[0] / "report.json").read_text())["calibration"]
+    assert 0 < calibration["n_split_fallbacks"] == want < calibration["n_days_fit"]

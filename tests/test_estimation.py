@@ -10,14 +10,17 @@ from scipy import optimize
 
 from windemos import (
     GEV,
+    CaseTable,
     EstimationError,
     EnsembleForecast,
+    FitResult,
     GevParams,
     GroupSpec,
     InsufficientDataError,
     InvalidInputError,
     LnParams,
     ModelSpec,
+    RegimeSwitchConfig,
     ScenarioConfig,
     TnParams,
     TrainingFallbackWarning,
@@ -34,6 +37,7 @@ from windemos import (
     grid_search,
     predict_gev,
     predict_ln,
+    predict_switch,
     predict_tn,
     rolling_calibrate,
     rolling_climatology,
@@ -42,6 +46,7 @@ from windemos import (
 from windemos.estimation import (
     _gev_objective,
     _ln_objective,
+    _predict,
     _tn_objective,
     _window_arrays,
 )
@@ -661,3 +666,157 @@ def test_gev_fit_keeps_the_shape_below_one():
         assert fit.params.xi < 1.0
         preds = [predict_gev(fit.params, G4, c) for c in window.cases]
         assert np.all(np.isfinite(crps_values(preds, obs)))
+
+
+# --- the case table against the case-tuple path -----------------------------
+
+
+def _ragged_switching_data(g):
+    # 24 days of 4 stations: day 7 has no data at all, stations S2 and S4
+    # are missing on some days, and the list runs backwards in time
+    data = generate(ScenarioConfig(days=24, stations=4, group_spec=g, truth="switching", seed=3))
+    gap = START + datetime.timedelta(days=6)
+    kept = [
+        c
+        for k, c in enumerate(data)
+        if c.date != gap and not (c.station in ("S2", "S4") and k % 3 == 0)
+    ]
+    return kept[::-1]
+
+
+def _window_of(data, day, n):
+    # The cases of the n most recent earlier days that have data, day by
+    # day, each day in the dataset's order
+    prior = sorted({c.date for c in data if c.date < day})[-n:]
+    return TrainingWindow(n, tuple(c for d in prior for c in data if c.date == d))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("sizes", [(8,), (1, 7)])
+@pytest.mark.parametrize("family", ["tn", "ln", "gev", "tn-ln", "tn-gev"])
+def test_rolling_fits_equal_fits_on_case_windows(family, sizes):
+    g = GroupSpec(sizes)
+    data = _ragged_switching_data(g)
+    model = ModelSpec(family, theta=6.0) if family in ("tn-ln", "tn-gev") else ModelSpec(family)
+    n = 6
+    calib = rolling_calibrate(model, g, data, n)
+    days = sorted({c.date for c in data})
+    assert len(calib.fits) == len(days) - n
+    prev = None
+    for day, fit in calib.fits.items():
+        window = _window_of(data, day, n)
+        if model.is_mixture:
+            init = (None, None) if prev is None else (prev[0].params, prev[1].params)
+            want = fit_switch(model, g, window, *init)
+            assert [f.params for f in fit] == [f.params for f in want], day
+            assert [f.n_evals for f in fit] == [f.n_evals for f in want]
+        else:
+            init = None if prev is None else prev.params
+            if family == "gev":
+                want = fit_gev_ml(g, window, init=init)
+            else:
+                want = fit_min_crps(family, g, window, init=init)
+            assert fit.params == want.params, day
+            assert fit.n_evals == want.n_evals
+        prev = fit
+
+
+def _law_params(d):
+    return [float(d.mu), float(d.sigma), float(d.xi) if isinstance(d, GEV) else 0.0]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("sizes", [(8,), (1, 7)])
+def test_batched_predictions_equal_per_case_predictions(sizes):
+    g = GroupSpec(sizes)
+    data = _ragged_switching_data(g)
+    tn = TnParams(0.2, (0.12,) * g.m, 0.8, 0.9)
+    ln = LnParams(0.3, (0.11,) * g.m, 0.6, 1.1)
+    gev = GevParams(0.1, (0.11,) * g.m, 0.5, 0.15, 0.1)
+    fits = {
+        "tn": FitResult(tn, 0.0, True, 0),
+        "ln": FitResult(ln, 0.0, True, 0),
+        "gev": FitResult(gev, 0.0, True, 0),
+    }
+    table = CaseTable(data, g)
+    per_case = {
+        "tn": lambda c: predict_tn(tn, g, c),
+        "ln": lambda c: predict_ln(ln, g, c),
+        "gev": lambda c: predict_gev(gev, g, c),
+        "tn-ln": lambda c: predict_switch(RegimeSwitchConfig(6.0, tn, ln), g, c),
+        "tn-gev": lambda c: predict_switch(RegimeSwitchConfig(6.0, tn, gev), g, c),
+    }
+    for family, predict in per_case.items():
+        if family in ("tn-ln", "tn-gev"):
+            model = ModelSpec(family, theta=6.0)
+            fit = (fits["tn"], fits[model.high_family])
+        else:
+            model, fit = ModelSpec(family), fits[family]
+        batched = _predict(model, fit, table.rows)
+        want = [predict(c) for c in table.cases]
+        assert [type(d) for d in batched] == [type(d) for d in want]
+        got = np.array([_law_params(d) for d in batched])
+        ref = np.array([_law_params(d) for d in want])
+        if g.m == 1:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            # gemv and the per-case dot add the group terms in another order
+            np.testing.assert_array_max_ulp(got, ref, maxulp=4)
+
+
+def test_case_table_sorts_days_and_keeps_each_days_order():
+    g = GroupSpec((8,))
+    data = _ragged_switching_data(g)
+    table = CaseTable(data, g)
+    assert table.dates == days_with_data(data)
+    for i, day in enumerate(table.dates):
+        day_cases = table.cases[table.bounds[i] : table.bounds[i + 1]]
+        assert day_cases == tuple(c for c in data if c.date == day)
+    # the same rows as the columns of the cases, built one by one
+    members = [c.members for c in table.cases]
+    np.testing.assert_array_equal(table.rows.obs, [c.obs for c in table.cases])
+    np.testing.assert_array_equal(table.rows.s2, [np.var(m, ddof=1) for m in members])
+    np.testing.assert_array_equal(table.rows.fbar, [np.mean(m) for m in members])
+    np.testing.assert_array_equal(table.rows.median, [np.median(m) for m in members])
+    with pytest.raises(InvalidInputError):
+        rolling_calibrate(ModelSpec("tn"), GroupSpec((4, 4)), table, 5)
+
+
+def test_rolling_calibrate_counts_split_fallbacks():
+    # On 7 of the 15 windows of 8 days fewer than 10 ensemble medians lie
+    # on one side of theta = 6; the count is the number of fallback
+    # warnings, one per such day
+    g = GroupSpec((8,))
+    data = _ragged_switching_data(g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        calib = rolling_calibrate(ModelSpec("tn-ln", theta=6.0), g, data, 8)
+    fallbacks = [w for w in caught if issubclass(w.category, TrainingFallbackWarning)]
+    assert calib.n_split_fallbacks == len(fallbacks) == 7
+    assert len(calib.fits) == 15
+    shared = rolling_calibrate(ModelSpec("tn-ln", theta=6.0, strategy="shared"), g, data, 8)
+    assert shared.n_split_fallbacks == 0
+
+
+def test_model_spec_rejects_a_negative_or_nan_theta():
+    # Mixtures predict without a RegimeSwitchConfig, so the spec itself
+    # checks the threshold it will route by
+    for theta in (-1.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            ModelSpec("tn-gev", theta=theta)
+    assert ModelSpec("tn-ln", theta=math.inf).theta == math.inf
+
+
+def test_training_cases_without_an_observation_are_rejected():
+    # A case without an observation may be predicted but not trained on,
+    # whether the window is a tuple of cases or rows of the case table
+    dataset = _daily_dataset(8)
+    blind = EnsembleForecast(dataset[3].date, "S9", dataset[3].members, obs=None)
+    with pytest.raises(InvalidInputError):
+        fit_min_crps("tn", G4, TrainingWindow(1, (blind,) + tuple(dataset[:12])))
+    with pytest.raises(InvalidInputError):
+        rolling_calibrate(ModelSpec("tn"), G4, dataset + [blind], n=5)
+    last = dataset[-1].date
+    target = EnsembleForecast(last, "S9", dataset[-1].members, obs=None)
+    calib = rolling_calibrate(ModelSpec("tn"), G4, dataset + [target], n=5, days=[last])
+    assert [case for case, _ in calib.pairs][-1] is target

@@ -6,6 +6,7 @@ formulas and integration code.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -423,3 +424,47 @@ def test_twcrps_tail_threshold_does_not_cancel():
     assert got[0] < 1e-100
     # 40-digit quadrature of the integral of (1 - F)^2 over [25, inf)
     assert got[1] == pytest.approx(4.712801944889065e-08, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-4])  # 1e-4 is the links' scale floor
+def test_gumbel_scores_far_above_the_location(scale):
+    # At z = (y - mu)/sigma past ~745, e^-z underflows and E1(e^-z) is
+    # infinite.  The references are the limits there: the CRPS tends to
+    # y - mu - (gamma + log 2) sigma, and (1 - F)^2 ~ e^(-2z) leaves an
+    # upper-tail integral of sigma e^(-2z)/2, which is 0 in doubles.
+    d = GEV(1.0, scale, 0.0)
+    shift = (np.euler_gamma + math.log(2.0)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        crps = crps_values([d, d], [3.0, 2.0])
+        below = twcrps_values([d], [0.5], 2.0)
+        above = twcrps_values([d], [3.0], 2.0)
+    assert crps == pytest.approx([2.0 - shift, 1.0 - shift], abs=1e-8)
+    assert below[0] == pytest.approx(0.0, abs=1e-8)
+    assert above[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_gumbel_scores_far_below_the_location():
+    # There F ~ 0: the CRPS is E X - y - E|X - X'|/2 = mu + (gamma - log 2)
+    # sigma - y, and the upper-tail integral from r is that with r for y
+    d = GEV(1000.0, 1.0, 0.0)
+    mean_min = 1000.0 + np.euler_gamma - math.log(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        crps = crps_values([d], [0.5])[0]
+        tail = twcrps_values([d], [0.5], 600.0)[0]
+    assert crps == pytest.approx(mean_min - 0.5, rel=1e-12)
+    assert tail == pytest.approx(mean_min - 600.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "z,want",
+    # 150-digit evaluations of 1.5 (gamma - log 2 - z + 2 E1(e) - E1(2e)), e = e^-z
+    [(7.1, 5.10317837210913738e-7), (12.0, 2.8313393106263474945e-11), (41.0, 1.8319505533053957577e-36)],
+)
+def test_gumbel_upper_tail_series_keeps_relative_accuracy(z, want):
+    # Past z = 7 the terms of the closed form cancel; the E1 series that
+    # replaces it keeps the tiny integral to full relative precision
+    d = GEV(4.0, 1.5, 0.0)
+    got = twcrps_values([d], [0.5], 4.0 + 1.5 * z)[0]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
