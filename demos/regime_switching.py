@@ -52,11 +52,11 @@ print(f"\ntrue switch point 6.00, chosen {result.chosen_theta:.2f}")
 chosen = ModelSpec("tn-ln", theta=result.chosen_theta, strategy="split")
 mix = rolling_calibrate(chosen, G, data, n_train, days=holdout)
 ref = rolling_calibrate(ModelSpec("tn"), G, data, n_train, days=holdout)
-obs = np.array([c.obs for c, _ in mix.pairs])
+obs = np.array([c.obs for c in mix.cases])
 
 print("\nthreshold  twCRPS(mix)  twCRPS(tn)  skill")
 for pct in (50.0, 75.0, 90.0, 95.0):
     r = float(np.percentile(obs, pct))
-    tw = float(np.mean(twcrps_values([d for _, d in mix.pairs], obs, r)))
-    tw_ref = float(np.mean(twcrps_values([d for _, d in ref.pairs], obs, r)))
+    tw = float(np.mean(twcrps_values(mix.forecasts, obs, r)))
+    tw_ref = float(np.mean(twcrps_values(ref.forecasts, obs, r)))
     print(f"q{pct:<4g} {r:5.2f}  {tw:.5f}      {tw_ref:.5f}     {1 - tw / tw_ref:+.3f}")

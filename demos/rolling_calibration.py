@@ -53,7 +53,7 @@ for spec in (
     ModelSpec("tn-gev", theta=6.0),
 ):
     calib = rolling_calibrate(spec, G, data, n_train)
-    crps = float(np.mean(crps_values([d for _, d in calib.pairs], obs)))
+    crps = float(np.mean(crps_values(calib.forecasts, obs)))
     print(f"{spec.family:7s}  {crps:.4f}      {100.0 * (1 - crps / raw_crps):+.1f}%")
 
 # The last fitted parameter set shows where the miscalibration went:

@@ -107,12 +107,13 @@ def _write_csv(path, header, rows):
             writer.writerow([_cell(v) for v in row])
 
 
-def _emit(out_dir, name, kind, *args):
+def _emit(out_dir, name, *content):
+    # A .json file holds one payload, a .csv file a header and its rows
     path = os.path.join(out_dir, name)
-    if kind == "json":
-        _write_json(path, args[0])
+    if name.endswith(".json"):
+        _write_json(path, *content)
     else:
-        _write_csv(path, args[0], args[1])
+        _write_csv(path, *content)
     print(path)
 
 
@@ -176,7 +177,7 @@ def _calibration_summary(calib):
         "n_fits_at_floor": sum(f.at_boundary for f in fits),
         "n_optimizer_evals": sum(f.n_evals for f in fits),
         "n_split_fallbacks": calib.n_split_fallbacks,
-        "n_cases": len(calib.pairs),
+        "n_cases": len(calib.cases),
         "skipped": [[day.isoformat(), reason] for day, reason in calib.skipped],
         "last_day": None if last_day is None else last_day.isoformat(),
         "last_fit": None if last_day is None else _fit_dict(calib.fits[last_day]),
@@ -200,6 +201,19 @@ def _skill_curve_rows(forecasts, ref_forecasts, obs):
     return rows
 
 
+def _report(args, cases, forecasts):
+    # The verification report of a command's forecasts, under its options
+    return build_report(
+        cases,
+        forecasts,
+        thresholds=_thresholds_arg(args),
+        alpha=args.alpha,
+        seed=args.seed,
+        bins=getattr(args, "bins", None),
+        model=args.model,
+    )
+
+
 def _pit_rows(report):
     counts = report.histogram_counts
     bins = len(counts)
@@ -217,29 +231,17 @@ def cmd_calibrate(args):
     model = _model_spec(args)
     table = CaseTable(dataset, g)
     calib = rolling_calibrate(model, g, table, args.train_days)
-    if not calib.pairs:
+    if not calib.cases:
         raise InsufficientDataError(
             f"no day has {args.train_days} prior days of training data"
         )
-    cases = [case for case, _ in calib.pairs]
-    forecasts = [dist for _, dist in calib.pairs]
-    report = build_report(
-        cases,
-        forecasts,
-        thresholds=_thresholds_arg(args),
-        alpha=args.alpha,
-        seed=args.seed,
-        bins=args.bins,
-        model=args.model,
-    )
+    report = _report(args, calib.cases, calib.forecasts)
 
-    if args.model == "tn":
-        ref_forecasts = forecasts
-    else:
+    ref = calib
+    if args.model != "tn":
         ref = rolling_calibrate(ModelSpec("tn"), g, table, args.train_days)
-        ref_forecasts = [dist for _, dist in ref.pairs]
-    obs = np.array([c.obs for c in cases], dtype=float)
-    curve = _skill_curve_rows(forecasts, ref_forecasts, obs)
+    obs = np.array([c.obs for c in calib.cases], dtype=float)
+    curve = _skill_curve_rows(calib.forecasts, ref.forecasts, obs)
 
     payload = {
         "command": "calibrate",
@@ -257,21 +259,11 @@ def cmd_calibrate(args):
         "calibration": _calibration_summary(calib),
         "report": report.to_dict(),
     }
-    _emit(args.output_dir, "report.json", "json", payload)
-    _emit(
-        args.output_dir,
-        "pit_histogram.csv",
-        "csv",
-        ["bin", "lower", "upper", "count"],
-        _pit_rows(report),
-    )
-    _emit(
-        args.output_dir,
-        "twcrpss_vs_threshold.csv",
-        "csv",
-        ["percentile", "threshold", "mean_twcrps", "reference_mean_twcrps", "twcrpss"],
-        curve,
-    )
+    _emit(args.output_dir, "report.json", payload)
+    pit_header = ["bin", "lower", "upper", "count"]
+    _emit(args.output_dir, "pit_histogram.csv", pit_header, _pit_rows(report))
+    curve_header = ["percentile", "threshold", "mean_twcrps", "reference_mean_twcrps", "twcrpss"]
+    _emit(args.output_dir, "twcrpss_vs_threshold.csv", curve_header, curve)
     return 0
 
 
@@ -287,16 +279,7 @@ def cmd_verify(args):
         raise InsufficientDataError(
             f"no day has {args.train_days} prior days of training data"
         )
-    cases = [case for case, _ in pairs]
-    forecasts = [dist for _, dist in pairs]
-    report = build_report(
-        cases,
-        forecasts,
-        thresholds=_thresholds_arg(args),
-        alpha=args.alpha,
-        seed=args.seed,
-        model=args.model,
-    )
+    report = _report(args, [case for case, _ in pairs], [dist for _, dist in pairs])
     payload = {
         "command": "verify",
         "config": {
@@ -313,14 +296,8 @@ def cmd_verify(args):
         },
         "report": report.to_dict(),
     }
-    _emit(args.output_dir, "report.json", "json", payload)
-    _emit(
-        args.output_dir,
-        "rank_histogram.csv",
-        "csv",
-        ["rank", "count"],
-        _rank_rows(report),
-    )
+    _emit(args.output_dir, "report.json", payload)
+    _emit(args.output_dir, "rank_histogram.csv", ["rank", "count"], _rank_rows(report))
     return 0
 
 
@@ -368,18 +345,8 @@ def cmd_grid_search(args):
         calib = rolling_calibrate(
             chosen, g, table, result.chosen_length, days=holdout_days
         )
-        if calib.pairs:
-            cases = [case for case, _ in calib.pairs]
-            forecasts = [dist for _, dist in calib.pairs]
-            report = build_report(
-                cases,
-                forecasts,
-                thresholds=_thresholds_arg(args),
-                alpha=args.alpha,
-                seed=args.seed,
-                model=args.model,
-            )
-            report_block = report.to_dict()
+        if calib.cases:
+            report_block = _report(args, calib.cases, calib.forecasts).to_dict()
 
     cells = sorted(
         result.cells.items(),
@@ -417,28 +384,10 @@ def cmd_grid_search(args):
         },
         "report": report_block,
     }
-    _emit(args.output_dir, "report.json", "json", payload)
-    _emit(
-        args.output_dir,
-        "grid.csv",
-        "csv",
-        ["train_days", "theta", "mean_crps"],
-        grid_rows,
-    )
-    _emit(
-        args.output_dir,
-        "crps_vs_length.csv",
-        "csv",
-        ["train_days", "mean_crps"],
-        length_rows,
-    )
-    _emit(
-        args.output_dir,
-        "crps_vs_theta.csv",
-        "csv",
-        ["theta", "mean_crps"],
-        theta_rows,
-    )
+    _emit(args.output_dir, "report.json", payload)
+    _emit(args.output_dir, "grid.csv", ["train_days", "theta", "mean_crps"], grid_rows)
+    _emit(args.output_dir, "crps_vs_length.csv", ["train_days", "mean_crps"], length_rows)
+    _emit(args.output_dir, "crps_vs_theta.csv", ["theta", "mean_crps"], theta_rows)
     return 0
 
 
@@ -542,6 +491,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        if getattr(args, "output_dir", None) is not None:
+            # Before any data is read: a path that cannot be a directory
+            # fails here, not after the whole run
+            os.makedirs(args.output_dir, exist_ok=True)
         return args.func(args)
     except (
         NumericFailureError,

@@ -15,7 +15,8 @@ with the columns every link and fit reads (`CaseRows`).  Rolling
 calibration refits daily on the n most recent prior days that have any
 data, pooling all stations, warm-starting each day from the previous
 day's solution; that window is one row slice of the table, and each
-target day is predicted with one link call per branch.  Grid search
+target day is predicted with one link call per branch into a
+`ForecastBatch`, all days joined once at the end.  Grid search
 evaluates (training length, threshold) cells on a shared selection-day
 set aligned to the longest window, all on one table.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .distributions import _SMALL_XI, GEV, LogNormal, MeanVariance, TruncatedNormal
+from .distributions import _SMALL_XI, GEV, MeanVariance, TruncatedNormal
 from .errors import (
     EstimationError,
     InsufficientDataError,
@@ -44,7 +45,7 @@ from .models import (
     ln_link,
     tn_link,
 )
-from .scoring import Empirical, _crps_ln_grad, _crps_tn_grad, crps_values
+from .scoring import Empirical, ForecastBatch, _crps_ln_grad, _crps_tn_grad, crps_values
 
 MIXTURES = ("tn-ln", "tn-gev")
 # L-BFGS-B stopping rules; each fit runs it twice (see `_fit`)
@@ -112,13 +113,19 @@ class FitResult:
 
 @dataclass
 class CalibrationResult:
-    """Per-day fits plus every verification-day (case, prediction) pair."""
+    """Per-day fits plus every verification-day case and its prediction."""
 
     model: ModelSpec
-    pairs: list = field(default_factory=list)  # (EnsembleForecast, distribution)
+    cases: tuple = ()  # EnsembleForecast per verification case, by day
+    forecasts: ForecastBatch = field(default_factory=lambda: ForecastBatch(0, ()))  # of `cases`
     fits: dict = field(default_factory=dict)  # date -> FitResult | (low, high)
     skipped: list = field(default_factory=list)  # (date, reason)
     n_split_fallbacks: int = 0  # split-strategy days trained shared instead
+
+    @property
+    def pairs(self):
+        """(case, scalar law) per verification case, cut from `forecasts` on each call."""
+        return list(zip(self.cases, self.forecasts.laws()))
 
 
 @dataclass
@@ -486,33 +493,27 @@ def fit_switch(model, g, window, init_low=None, init_high=None):
     return low_fit, high_fit
 
 
-def _tn_laws(p, rows):
-    loc, scale = tn_link(p, rows.gs, rows.s2)
-    return [TruncatedNormal(mu, sigma) for mu, sigma in zip(loc, scale)]
-
-
-def _ln_laws(p, rows):
-    laws = MeanVariance(*ln_link(p, rows.gs, rows.s2)).to_lognormal()
-    return [LogNormal(mu, sigma) for mu, sigma in zip(laws.mu, laws.sigma)]
-
-
-def _gev_laws(p, rows):
-    loc, scale = gev_link(p, rows.gs, rows.fbar)
-    return [GEV(mu, sigma, p.xi) for mu, sigma in zip(loc, scale)]
-
-
 @dataclass(frozen=True)
 class _Family:
     fit: object  # (g, training window, init params) -> FitResult
-    laws: object  # (params, CaseRows) -> a predictive law per row
+    laws: object  # (params, CaseRows) -> one law with a parameter per row
 
 
 # The fits name the module's functions at call time, so a wrapper put on
 # the module (a profiler's, say) sees every fit.
 _FAMILY_TABLE = {
-    "tn": _Family(lambda g, window, init: fit_min_crps("tn", g, window, init=init), _tn_laws),
-    "ln": _Family(lambda g, window, init: fit_min_crps("ln", g, window, init=init), _ln_laws),
-    "gev": _Family(lambda g, window, init: fit_gev_ml(g, window, init=init), _gev_laws),
+    "tn": _Family(
+        lambda g, window, init: fit_min_crps("tn", g, window, init=init),
+        lambda p, rows: TruncatedNormal(*tn_link(p, rows.gs, rows.s2)),
+    ),
+    "ln": _Family(
+        lambda g, window, init: fit_min_crps("ln", g, window, init=init),
+        lambda p, rows: MeanVariance(*ln_link(p, rows.gs, rows.s2)).to_lognormal(),
+    ),
+    "gev": _Family(
+        lambda g, window, init: fit_gev_ml(g, window, init=init),
+        lambda p, rows: GEV(*gev_link(p, rows.gs, rows.fbar), np.full(len(rows), p.xi)),
+    ),
 }
 FAMILIES = (*_FAMILY_TABLE, *MIXTURES)
 
@@ -526,17 +527,19 @@ def _fit_day(model, g, rows, prev):
 
 
 def _predict(model, fit, rows):
-    """The predictive law of every row, one link call per branch.
+    """The ForecastBatch of the rows, one link call per branch.
 
     A mixture predicts TN where the ensemble median is below theta and
     its high-wind family elsewhere, as `predict_switch` does per case.
     """
+    index = np.arange(len(rows))
     if not model.is_mixture:
-        return _FAMILY_TABLE[model.family].laws(fit.params, rows)
+        law = _FAMILY_TABLE[model.family].laws(fit.params, rows)
+        return ForecastBatch(index.size, [(index, law)])
     below = rows.median < model.theta
-    low = iter(_FAMILY_TABLE["tn"].laws(fit[0].params, rows[below]))
-    high = iter(_FAMILY_TABLE[model.high_family].laws(fit[1].params, rows[~below]))
-    return [next(low) if b else next(high) for b in below]
+    low = _FAMILY_TABLE["tn"].laws(fit[0].params, rows[below])
+    high = _FAMILY_TABLE[model.high_family].laws(fit[1].params, rows[~below])
+    return ForecastBatch(index.size, [(index[below], low), (index[~below], high)])
 
 
 def days_with_data(dataset):
@@ -575,15 +578,17 @@ def rolling_calibrate(model, g, dataset, n, days=None, warm_start=True):
     """
     table = _as_table(dataset, g)
     result = CalibrationResult(model=model)
-    prev = None
+    cases, batches, prev = [], [], None
     for day, window, target in _windows(table, n, days, result.skipped):
         rows = table.rows[window]
         if model.is_mixture and model.strategy == "split" and _split_mask(model, rows) is None:
             result.n_split_fallbacks += 1
         fit = _fit_day(model, g, rows, prev if warm_start else None)
         result.fits[day] = fit
-        result.pairs.extend(zip(table.cases[target], _predict(model, fit, table.rows[target])))
+        cases.extend(table.cases[target])
+        batches.append(_predict(model, fit, table.rows[target]))
         prev = fit
+    result.cases, result.forecasts = tuple(cases), ForecastBatch.concat(batches)
     return result
 
 
@@ -638,10 +643,8 @@ def rolling_raw(dataset, n, days=None):
     return pairs, skipped
 
 
-def _mean_crps_of_pairs(pairs):
-    dists = [d for _, d in pairs]
-    obs = np.array([c.obs for c, _ in pairs], dtype=float)
-    return float(np.mean(crps_values(dists, obs)))
+def _mean_crps(cases, forecasts):
+    return float(np.mean(crps_values(forecasts, [c.obs for c in cases])))
 
 
 def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
@@ -678,12 +681,10 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
             raise InvalidInputError("no selection day has enough history for the grid")
 
     cells = {}
-    n_cases = None
     for n in lengths:
         if not model.is_mixture:
             calib = rolling_calibrate(model, g, table, n, days=days)
-            cells[(n, None)] = _mean_crps_of_pairs(calib.pairs)
-            n_cases = len(calib.pairs)
+            cells[(n, None)] = _mean_crps(calib.cases, calib.forecasts)
         elif model.strategy == "shared":
             # Shared-strategy fits do not depend on theta: fit once per
             # length, then predict each day again per threshold.
@@ -691,18 +692,17 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
             calib = rolling_calibrate(base, g, table, n, days=days)
             for theta in thetas:
                 spec = ModelSpec(model.family, theta=theta, strategy="shared")
-                pairs = []
-                for day, _, target in _windows(table, n, days, []):
-                    laws = _predict(spec, calib.fits[day], table.rows[target])
-                    pairs.extend(zip(table.cases[target], laws))
-                cells[(n, theta)] = _mean_crps_of_pairs(pairs)
-                n_cases = len(pairs)
+                batch = ForecastBatch.concat(
+                    _predict(spec, calib.fits[day], table.rows[target])
+                    for day, _, target in _windows(table, n, days, [])
+                )
+                cells[(n, theta)] = _mean_crps(calib.cases, batch)
         else:
             for theta in thetas:
                 spec = ModelSpec(model.family, theta=theta, strategy="split")
                 calib = rolling_calibrate(spec, g, table, n, days=days)
-                cells[(n, theta)] = _mean_crps_of_pairs(calib.pairs)
-                n_cases = len(calib.pairs)
+                cells[(n, theta)] = _mean_crps(calib.cases, calib.forecasts)
+        n_cases = len(calib.cases)
 
     best = min(cells.values())
     tied = [key for key, val in cells.items() if val <= best + _TIE_TOL]
@@ -712,5 +712,5 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
         chosen_length=chosen[0],
         chosen_theta=chosen[1],
         days=days,
-        n_cases=int(n_cases),
+        n_cases=n_cases,
     )

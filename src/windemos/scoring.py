@@ -1,6 +1,12 @@
 """Proper scoring rules for wind speed forecasts.
 
-Every production score is a closed form evaluated on one family batch
+A set of forecasts is a `ForecastBatch`: one array-parameter law per
+predictive family, with the rows of the cases it covers, so the mixed
+TN / LN / GEV sets of a regime-switching model are scored without
+per-case objects.  A list of scalar laws is read into a batch by
+`ForecastBatch.of`, the one place such a list is taken apart.
+
+Every production score is a closed form evaluated on one family part
 at a time: the CRPS of truncated normal, log-normal and GEV forecasts,
 the exact CRPS of empirical (ensemble) forecasts, and the threshold-
 weighted CRPS of all of them.  Adaptive quadrature (`crps_numeric`,
@@ -13,8 +19,9 @@ Scores carry the unit of the observation: crps(aF, ax) = a crps(F, x)
 for any scale a > 0.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import integrate, special
@@ -48,7 +55,17 @@ _QUAD_TOL = 1e-8
 # Past these z = (x - mu)/sigma the Gumbel CRPS takes its E1 limit, and
 # its upper-tail integral the series of E1 (see `_crps_gumbel`, `_upper_gumbel`)
 _GUMBEL_E1_LIMIT = 40.0
-_GUMBEL_SERIES_FROM = 7.0
+_GUMBEL_SERIES_FROM = 1.0
+# Coefficients (-1)^k (2^k - 2)/(k k!), k = 2..24, of that series in e^-z
+_GUMBEL_SERIES = tuple((-1) ** k * (2**k - 2) / (k * math.factorial(k)) for k in range(2, 25))
+
+# The parameters of each parametric family, in constructor order
+_PARAMS = {
+    TruncatedNormal: ("mu", "sigma"),
+    LogNormal: ("mu", "sigma"),
+    GEV: ("mu", "sigma", "xi"),
+    MeanVariance: ("m", "v"),
+}
 
 
 class Empirical:
@@ -95,6 +112,81 @@ class Empirical:
 
     def __repr__(self):
         return f"Empirical(n={self.n})"
+
+
+class ForecastBatch:
+    """One predictive law for each of n cases, batched by family.
+
+    `parts` holds (rows, law) pairs that partition the cases 0..n-1:
+    `rows` an index array and `law` a TruncatedNormal, LogNormal or GEV
+    with 1-d parameters, one entry per row, or for empirical laws of one
+    sample size the matrix of their sorted samples, one row per case.
+    """
+
+    def __init__(self, n, parts):
+        self.n = int(n)
+        self.parts = tuple((np.asarray(rows, dtype=int), law) for rows, law in parts if len(rows))
+
+    def __len__(self):
+        return self.n
+
+    @classmethod
+    def of(cls, laws):
+        """A list of scalar laws as a batch (a batch is returned as it is).
+
+        One part per family, MeanVariance pairs as log-normal laws, and
+        empirical laws split by sample size.
+        """
+        if isinstance(laws, ForecastBatch):
+            return laws
+        groups = {}
+        for i, d in enumerate(laws):
+            groups.setdefault((type(d), d.n if isinstance(d, Empirical) else None), []).append(i)
+        parts = []
+        for (kind, _), rows in groups.items():
+            members = [laws[i] for i in rows]
+            if kind is Empirical:
+                law = np.array([d.values for d in members])
+            elif kind in _PARAMS:
+                params = ([getattr(d, a) for d in members] for a in _PARAMS[kind])
+                law = kind(*(np.fromiter(p, float, len(rows)) for p in params))
+            else:
+                raise InvalidInputError(f"unsupported predictive law {kind.__name__}")
+            parts.append((rows, law.to_lognormal() if kind is MeanVariance else law))
+        return cls(len(laws), parts)
+
+    @classmethod
+    def concat(cls, batches):
+        """The cases of the batches one after another, one part per family."""
+        groups, n = {}, 0
+        for batch in batches:
+            for rows, law in batch.parts:
+                key = (type(law), law.shape[1] if isinstance(law, np.ndarray) else None)
+                groups.setdefault(key, []).append((rows + n, law))
+            n += batch.n
+        parts = []
+        for (kind, _), items in groups.items():
+            rows = np.concatenate([r for r, _ in items])
+            laws = [law for _, law in items]
+            if kind is np.ndarray:
+                parts.append((rows, np.concatenate(laws)))
+            else:
+                params = (np.concatenate([getattr(d, a) for d in laws]) for a in _PARAMS[kind])
+                parts.append((rows, kind(*params)))
+        return cls(n, parts)
+
+    def laws(self):
+        """The scalar law of every case, in case order."""
+        out = [None] * self.n
+        for rows, law in self.parts:
+            if isinstance(law, np.ndarray):
+                cut = map(Empirical, law)
+            else:
+                params = zip(*(getattr(law, a) for a in _PARAMS[type(law)]))
+                cut = itertools.starmap(type(law), params)
+            for i, d in zip(rows.tolist(), cut):
+                out[i] = d
+        return out
 
 
 def _sample_quantile(v, p):
@@ -266,17 +358,19 @@ def _crps_gumbel(z, sigma):
 
 
 def _upper_gumbel(z, sigma):
-    # sigma (gamma - log 2 - z + 2 E1(e) - E1(2e)), e = e^-z.  Past z = 7
-    # the terms cancel to the series of E1, sigma (e^2/2 - e^3/3 + 7e^4/48
-    # - e^5/20 + 31e^6/2160 - ...), which is taken instead (truncated at
-    # e^7/280 < 1e-17 of the value)
+    # sigma (gamma - log 2 - z + 2 E1(e) - E1(2e)), e = e^-z.  Past z = 1
+    # the terms cancel; the series of E1 gives the exact sum over k >= 2
+    # of (-1)^k (2^k - 2) e^k/(k k!), taken to k = 24 (the next term is
+    # below 1e-28 of the value) by Horner
     far = z > _GUMBEL_SERIES_FROM
     with np.errstate(over="ignore"):
         e = np.exp(-z)
     e_near, e = np.where(far, 1.0, e), np.where(far, e, 0.0)
     near = np.euler_gamma - _LOG2 - z + 2.0 * special.exp1(e_near) - special.exp1(2.0 * e_near)
-    series = e * e * (0.5 + e * (-1.0 / 3.0 + e * (7.0 / 48.0 + e * (-0.05 + e * 31.0 / 2160.0))))
-    return sigma * np.where(far, series, near)
+    series = np.zeros_like(e)
+    for c in reversed(_GUMBEL_SERIES):
+        series = c + e * series
+    return sigma * np.where(far, e * e * series, near)
 
 
 def _crps_gev(d, x):
@@ -528,13 +622,6 @@ def crps_quad_batch(d, x, r=None):
     return total
 
 
-_PARAMS = {
-    TruncatedNormal: ("mu", "sigma"),
-    LogNormal: ("mu", "sigma"),
-    GEV: ("mu", "sigma", "xi"),
-    MeanVariance: ("m", "v"),
-}
-
 # Per family: the CRPS at x, the integral of (1 - F)^2 over [r, inf),
 # and a floor for r.  TN and LN observations are >= 0 = the lower end of
 # the support, so a threshold below 0 scores as one at 0; an observation
@@ -546,61 +633,37 @@ _CLOSED_FORMS = {
 }
 
 
-def _family_groups(dists):
-    """Case indices per family; empirical laws also split by sample size."""
-    groups = {}
-    for i, d in enumerate(dists):
-        key = (type(d).__name__, d.n if isinstance(d, Empirical) else None)
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
-def _batch_of(dists, idx):
-    """The laws at idx, all of one family, as one batch.
-
-    A parametric law with array parameters (log-normal for MeanVariance
-    pairs), or for empirical laws the matrix of their sorted samples.
-    """
-    kind = type(dists[idx[0]])
-    if kind is Empirical:
-        return np.array([dists[i].values for i in idx])
-    if kind not in _PARAMS:
-        raise InvalidInputError(f"unsupported predictive law {kind.__name__}")
-    batch = kind(*(np.array([float(getattr(dists[i], a)) for i in idx]) for a in _PARAMS[kind]))
-    return batch.to_lognormal() if kind is MeanVariance else batch
-
-
-def _score_batches(dists, obs, r):
-    # CRPS (r None) or twCRPS at r of each case, one closed form per batch
-    obs = _check_obs(np.asarray(obs, dtype=float))
-    out = np.empty(len(dists))
-    for idx in _family_groups(dists).values():
-        batch = _batch_of(dists, idx)
-        y = obs[idx]
-        if isinstance(batch, np.ndarray):
+def _score_batches(forecasts, obs, r):
+    # CRPS (r None) or twCRPS at r of each case, one closed form per part
+    batch = ForecastBatch.of(forecasts)
+    obs = _check_obs(obs)
+    out = np.empty(len(batch))
+    for rows, law in batch.parts:
+        y = obs[rows]
+        if isinstance(law, np.ndarray):
             if r is not None:
-                batch, y = np.maximum(batch, r), np.maximum(y, r)
-            out[idx] = _crps_ensemble(batch, y)
+                law, y = np.maximum(law, r), np.maximum(y, r)
+            out[rows] = _crps_ensemble(law, y)
             continue
-        crps, upper, floor = _CLOSED_FORMS[type(batch)]
+        crps, upper, floor = _CLOSED_FORMS[type(law)]
         if r is None:
-            out[idx] = crps(batch, y)
+            out[rows] = crps(law, y)
         else:
             r_eff = max(r, floor)
-            out[idx] = crps(batch, np.maximum(y, r_eff)) - crps(batch, r_eff) + upper(batch, r_eff)
+            out[rows] = crps(law, np.maximum(y, r_eff)) - crps(law, r_eff) + upper(law, r_eff)
     return out
 
 
 def crps_values(dists, obs):
-    """Per-case CRPS of a heterogeneous list of predictive laws.
+    """Per-case CRPS of a ForecastBatch or a list of predictive laws.
 
-    Closed forms per family batch; exact sums for empirical forecasts.
+    Closed forms per family part; exact sums for empirical forecasts.
     """
     return _score_batches(dists, obs, None)
 
 
 def twcrps_values(dists, obs, r):
-    """Per-case twCRPS at threshold r (-inf: the CRPS) for a forecast list.
+    """Per-case twCRPS at threshold r (-inf: the CRPS) of a forecast set.
 
     The CRPS of F censored by z -> max(z, r), observed at max(y, r)
     (Allen, Ginsbourger & Ziegel 2023), as CRPS(F, max(y, r)) -
@@ -627,11 +690,6 @@ class ScoreSummary:
     rmse: float | None = None
 
     def to_dict(self):
-        return {
-            "mean_crps": self.mean_crps,
-            "mean_twcrps": {f"{r:g}": v for r, v in sorted(self.mean_twcrps.items())},
-            "mean_log_score": self.mean_log_score,
-            "n_log_infinite": self.n_log_infinite,
-            "mae": self.mae,
-            "rmse": self.rmse,
-        }
+        out = asdict(self)
+        out["mean_twcrps"] = {f"{r:g}": v for r, v in sorted(self.mean_twcrps.items())}
+        return out

@@ -8,16 +8,14 @@ for either parametric or empirical (ensemble/climatology) forecasts.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .scoring import (
-    Empirical,
+    ForecastBatch,
     ScoreSummary,
-    _batch_of,
-    _family_groups,
     _sample_quantile,
     aggregate_log_scores,
     crps_values,
@@ -210,64 +208,38 @@ class VerificationReport:
     tie_break_seed: int | None
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "model": self.model,
-            "n_cases": self.n_cases,
-            "scores": self.scores.to_dict(),
-            "reliability_index": self.reliability_index,
-            "class_count": self.class_count,
-            "histogram_kind": self.histogram_kind,
-            "histogram_counts": list(self.histogram_counts),
-            "coverage_pct": self.coverage_pct,
-            "nominal_coverage_pct": self.nominal_coverage_pct,
-            "mean_width": self.mean_width,
-            "alpha": self.alpha,
-            "thresholds": list(self.thresholds),
-            "mean_pit": self.mean_pit,
-            "ks_statistic": self.ks_statistic,
-            "ks_p_value": self.ks_p_value,
-            "neg_mass_mean": self.neg_mass_mean,
-            "neg_mass_max": self.neg_mass_max,
-            "tie_break_seed": self.tie_break_seed,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["scores"] = self.scores.to_dict()
+        out["histogram_counts"] = list(self.histogram_counts)
+        out["thresholds"] = list(self.thresholds)
+        return out
 
 
 def _default_thresholds(obs):
     return tuple(float(v) for v in np.percentile(obs, [90.0, 95.0, 99.0]))
 
 
-def _parametric_columns(forecasts, obs, alpha):
-    """PIT, log density, median, mean, interval, neg mass, batched by family."""
-    n = len(forecasts)
-    pits = np.empty(n)
-    dens = np.empty(n)
-    med = np.empty(n)
-    mean = np.empty(n)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    neg = np.empty(n)
-    for _, idx in _family_groups(forecasts).items():
-        batch = _batch_of(forecasts, idx)
-        x = obs[idx]
-        pits[idx] = np.clip(batch.cdf(x), 0.0, 1.0)
-        dens[idx] = batch.pdf(x)
-        med[idx] = batch.median()
-        mean[idx] = batch.mean()
-        lo[idx], hi[idx] = central_interval(batch, alpha)
-        neg[idx] = batch.neg_mass()
-    return pits, dens, med, mean, lo, hi, neg
+def _parametric_columns(batch, obs, alpha):
+    """PIT, density, median, mean, interval ends and neg mass, part by part."""
+    columns = np.empty((7, len(batch)))
+    for rows, law in batch.parts:
+        x = obs[rows]
+        lo, hi = central_interval(law, alpha)
+        pits, dens = np.clip(law.cdf(x), 0.0, 1.0), law.pdf(x)
+        columns[:, rows] = (pits, dens, law.median(), law.mean(), lo, hi, law.neg_mass())
+    return columns
 
 
 def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=None, model=None):
     """Assemble the full verification report for one forecast stream.
 
-    `forecasts` holds one predictive law per case: either parametric
-    distributions (TN/LN/GEV, possibly mixed via regime switching) or
-    Empirical forecasts (raw ensemble, climatology) - not a mixture of
-    the two kinds.  `alpha` defaults to 2/(M+1), matching the nominal
-    coverage of the raw M-member ensemble.
+    `forecasts` is a ForecastBatch or a list with one predictive law per
+    case: either parametric distributions (TN/LN/GEV, possibly mixed via
+    regime switching) or Empirical forecasts (raw ensemble, climatology)
+    - not a mixture of the two kinds.  `alpha` defaults to 2/(M+1),
+    matching the nominal coverage of the raw M-member ensemble.
     """
+    forecasts = ForecastBatch.of(forecasts)
     if len(cases) == 0 or len(forecasts) != len(cases):
         raise InvalidInputError("need one forecast per case and at least one case")
     if any(c.obs is None for c in cases):
@@ -277,10 +249,10 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     if any(len(c.members) != M for c in cases):
         raise InvalidInputError("verification cases must share one ensemble size")
 
-    empirical = [isinstance(d, Empirical) for d in forecasts]
-    if any(empirical) and not all(empirical):
+    empirical = {isinstance(law, np.ndarray) for _, law in forecasts.parts}
+    if len(empirical) > 1:
         raise InvalidInputError("cannot mix empirical and parametric forecasts in one report")
-    is_empirical = all(empirical)
+    is_empirical = empirical == {True}
 
     if alpha is None:
         alpha = 2.0 / (M + 1.0)
@@ -298,10 +270,13 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     }
 
     if is_empirical:
-        if len({d.n for d in forecasts}) != 1:
+        if len(forecasts.parts) != 1:
             raise InvalidInputError("empirical forecasts must share one sample size")
-        # Every column comes from the matrix of sorted members, one row per case
-        values = np.array([d.values for d in forecasts])
+        # Every column comes from the matrix of sorted members, one row per
+        # case in case order, the order the seeded tie-breaks are drawn in
+        [(rows, samples)] = forecasts.parts
+        values = np.empty_like(samples)
+        values[rows] = samples
         class_count = values.shape[1] + 1
         ranks = ranks_of_obs(values, obs, np.random.default_rng(seed))
         counts = RankHistogram.from_ranks(ranks, class_count).counts

@@ -346,3 +346,29 @@ def test_calibrate_reports_split_fallbacks(tmp_path):
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
     calibration = json.loads((outs[0] / "report.json").read_text())["calibration"]
     assert 0 < calibration["n_split_fallbacks"] == want < calibration["n_days_fit"]
+
+
+def test_missing_output_dirs_are_created(tmp_path):
+    data = _simulate(tmp_path)
+    runs = {
+        "calibrate": ["calibrate", str(data), "--train-days", "8"],
+        "verify": ["verify", str(data), "--train-days", "8"],
+        "grid-search": ["grid-search", str(data), "--train-days", "6,8"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / "new" / name / "sub"
+        assert main(argv + ["--output-dir", str(out)]) == 0, name
+        assert (out / "report.json").is_file(), name
+
+
+def test_an_output_dir_that_is_a_file_fails_before_reading_data(tmp_path, monkeypatch):
+    data = _simulate(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    read = []
+    monkeypatch.setattr("windemos.cli.read_dataset", lambda *a: read.append(a) or read_dataset(*a))
+    for argv in (["calibrate", str(data)], ["verify", str(data)], ["grid-search", str(data)]):
+        for out in (taken, taken / "sub"):
+            assert main(argv + ["--train-days", "8", "--output-dir", str(out)]) == 1
+    assert read == []
+    assert taken.read_text() == "not a directory\n"

@@ -44,6 +44,7 @@ from windemos import (
     rolling_raw,
 )
 from windemos.estimation import (
+    MIXTURES,
     _gev_objective,
     _ln_objective,
     _predict,
@@ -725,6 +726,18 @@ def _law_params(d):
     return [float(d.mu), float(d.sigma), float(d.xi) if isinstance(d, GEV) else 0.0]
 
 
+def _batch_params(batch):
+    # The family and the (mu, sigma, xi) of every case of a ForecastBatch
+    kinds = np.empty(len(batch), dtype=object)
+    params = np.zeros((len(batch), 3))
+    for rows, law in batch.parts:
+        kinds[rows] = type(law)
+        params[rows, 0], params[rows, 1] = law.mu, law.sigma
+        if isinstance(law, GEV):
+            params[rows, 2] = law.xi
+    return list(kinds), params
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("sizes", [(8,), (1, 7)])
 def test_batched_predictions_equal_per_case_predictions(sizes):
@@ -752,10 +765,11 @@ def test_batched_predictions_equal_per_case_predictions(sizes):
             fit = (fits["tn"], fits[model.high_family])
         else:
             model, fit = ModelSpec(family), fits[family]
-        batched = _predict(model, fit, table.rows)
+        batch = _predict(model, fit, table.rows)
         want = [predict(c) for c in table.cases]
-        assert [type(d) for d in batched] == [type(d) for d in want]
-        got = np.array([_law_params(d) for d in batched])
+        assert len(batch) == len(want)
+        kinds, got = _batch_params(batch)
+        assert kinds == [type(d) for d in want]
         ref = np.array([_law_params(d) for d in want])
         if g.m == 1:
             np.testing.assert_array_equal(got, ref)
@@ -820,3 +834,28 @@ def test_training_cases_without_an_observation_are_rejected():
     target = EnsembleForecast(last, "S9", dataset[-1].members, obs=None)
     calib = rolling_calibrate(ModelSpec("tn"), G4, dataset + [target], n=5, days=[last])
     assert [case for case, _ in calib.pairs][-1] is target
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("family", ["tn", "ln", "gev", "tn-ln", "tn-gev"])
+def test_calibration_pairs_are_the_per_case_predictions_in_case_order(family):
+    g = GroupSpec((8,))
+    data = _ragged_switching_data(g)
+    model = ModelSpec(family, theta=6.0) if family in MIXTURES else ModelSpec(family)
+    calib = rolling_calibrate(model, g, data, 6)
+    pairs = calib.pairs
+    assert len(calib.forecasts) == len(calib.cases) == len(pairs)
+    # each fitted day's cases in the dataset's order, days in date order
+    assert tuple(case for case, _ in pairs) == calib.cases
+    assert calib.cases == tuple(c for day in sorted(calib.fits) for c in data if c.date == day)
+    for case, law in pairs:
+        fit = calib.fits[case.date]
+        if model.is_mixture:
+            config = RegimeSwitchConfig(6.0, fit[0].params, fit[1].params)
+            want = predict_switch(config, g, case)
+        else:
+            want = {"tn": predict_tn, "ln": predict_ln, "gev": predict_gev}[family](
+                fit.params, g, case
+            )
+        assert type(law) is type(want)
+        assert _law_params(law) == _law_params(want)

@@ -14,6 +14,7 @@ import pytest
 from windemos import (
     GEV,
     Empirical,
+    ForecastBatch,
     InvalidInputError,
     LogNormal,
     MeanVariance,
@@ -463,8 +464,101 @@ def test_gumbel_scores_far_below_the_location():
     [(7.1, 5.10317837210913738e-7), (12.0, 2.8313393106263474945e-11), (41.0, 1.8319505533053957577e-36)],
 )
 def test_gumbel_upper_tail_series_keeps_relative_accuracy(z, want):
-    # Past z = 7 the terms of the closed form cancel; the E1 series that
+    # Past z = 1 the terms of the closed form cancel; the E1 series that
     # replaces it keeps the tiny integral to full relative precision
     d = GEV(4.0, 1.5, 0.0)
     got = twcrps_values([d], [0.5], 4.0 + 1.5 * z)[0]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "z,want",
+    # mpmath at 150 digits: gamma - log 2 - z + 2 E1(e) - E1(2e), e = e^-z
+    [
+        (1.5, 0.021526043259021474057),
+        (3.0, 0.0011991204387229134302),
+        (5.0, 0.000022598297332921973245),
+        (6.9, 5.0747470634484247109e-7),
+    ],
+)
+def test_gumbel_upper_tail_has_full_precision_from_z_1(z, want):
+    # The integral of (1 - F)^2 over [z, inf) for the standard Gumbel law;
+    # in doubles the closed form above cancels to 1e-10 relative near z = 7
+    got = twcrps_values([GEV(0.0, 1.0, 0.0)], [0.0], z)[0]
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _mixed_batch():
+    # Cases 0..8 of three families in interleaved rows, a Gumbel and a
+    # bounded (xi < 0, upper end 6.33) GEV among them
+    mv = MeanVariance(np.array([3.0, 5.0]), np.array([4.0, 1.5]))
+    parts = [
+        ([0, 4, 7], TruncatedNormal(np.array([2.0, 1.0, -0.5]), np.array([1.0, 0.5, 2.0]))),
+        ([1, 5], LogNormal(np.array([0.5, 1.2]), np.array([0.6, 0.3]))),
+        ([2, 8], GEV(np.array([4.0, 3.0]), np.array([1.5, 1.0]), np.array([0.0, -0.3]))),
+        ([3, 6], mv.to_lognormal()),
+    ]
+    obs = np.array([1.5, 2.0, 5.0, 2.5, 1.0, 3.5, 4.0, 0.0, 6.0])
+    return ForecastBatch(9, parts), obs
+
+
+def _empirical_batch():
+    # Empirical laws of 3 and 5 members in interleaved rows
+    small = np.sort(np.array([[1.0, 3.0, 2.0], [0.5, 4.0, 4.0]]), axis=1)
+    large = np.sort(np.array([[2.0, 2.0, 5.0, 1.0, 3.0], [1.0, 6.0, 2.5, 3.5, 0.2]]), axis=1)
+    obs = np.array([2.0, 4.0, 4.0, 0.0])
+    return ForecastBatch(4, [([2, 0], small), ([1, 3], large)]), obs
+
+
+@pytest.mark.parametrize("make", [_mixed_batch, _empirical_batch])
+def test_a_batch_scores_bit_identically_to_the_list_of_its_laws(make):
+    batch, obs = make()
+    laws = batch.laws()
+    assert len(laws) == len(batch) == obs.size
+    assert ForecastBatch.of(batch) is batch
+    np.testing.assert_array_equal(crps_values(batch, obs), crps_values(laws, obs))
+    # Thresholds below the support, inside it, and above the bounded GEV
+    for r in (-1.0, 0.0, 2.5, 8.0, -math.inf):
+        np.testing.assert_array_equal(
+            twcrps_values(batch, obs, r), twcrps_values(laws, obs, r), err_msg=str(r)
+        )
+
+
+def test_a_list_with_mean_variance_laws_scores_as_its_batch():
+    mv = [MeanVariance(3.0, 4.0), MeanVariance(5.0, 1.5)]
+    laws = [TruncatedNormal(2.0, 1.0), mv[0], GEV(4.0, 1.5, 0.1), mv[1]]
+    batch = ForecastBatch.of(laws)
+    obs = np.array([1.5, 2.5, 5.0, 4.0])
+    assert [type(d) for d in batch.laws()] == [TruncatedNormal, LogNormal, GEV, LogNormal]
+    direct = ForecastBatch(4, [
+        ([0], TruncatedNormal(np.array([2.0]), np.array([1.0]))),
+        ([1, 3], MeanVariance(np.array([3.0, 5.0]), np.array([4.0, 1.5])).to_lognormal()),
+        ([2], GEV(np.array([4.0]), np.array([1.5]), np.array([0.1]))),
+    ])  # fmt: skip
+    for r in (-math.inf, 3.0):
+        want = twcrps_values(direct, obs, r)
+        np.testing.assert_array_equal(twcrps_values(laws, obs, r), want)
+        np.testing.assert_array_equal(twcrps_values(batch, obs, r), want)
+
+
+def _params_of(d):
+    return [float(getattr(d, a)) for a in ("mu", "sigma", "xi") if hasattr(d, a)]
+
+
+def test_forecast_batch_joins_and_cuts_laws_in_case_order():
+    a, _ = _mixed_batch()
+    b = ForecastBatch(2, [
+        ([1], TruncatedNormal(np.array([3.0]), np.array([1.0]))),
+        ([0], GEV(np.array([2.0]), np.array([1.0]), np.array([0.2]))),
+    ])  # fmt: skip
+    joined = ForecastBatch.concat([a, b, ForecastBatch(0, ())])
+    assert len(joined) == 11
+    # one part per family, each family's rows in the order they came
+    families = sorted(type(law).__name__ for _, law in joined.parts)
+    assert families == ["GEV", "LogNormal", "TruncatedNormal"]
+    laws = joined.laws()
+    for got, want in zip(laws, a.laws() + b.laws()):
+        assert type(got) is type(want)
+        assert _params_of(got) == _params_of(want)
+    with pytest.raises(InvalidInputError):
+        ForecastBatch.of([TruncatedNormal(1.0, 1.0), "not a law"])

@@ -8,10 +8,12 @@ import pytest
 from windemos import (
     Empirical,
     EnsembleForecast,
+    ForecastBatch,
     GEV,
     InsufficientDataError,
     InvalidInputError,
     LogNormal,
+    MeanVariance,
     RankHistogram,
     TruncatedNormal,
     build_report,
@@ -275,3 +277,50 @@ def test_build_report_respects_custom_thresholds_alpha_bins():
     assert report.alpha == 0.1
     assert report.nominal_coverage_pct == pytest.approx(90.0)
     assert report.class_count == 5
+
+
+def test_a_mixed_batch_reports_bit_identically_to_the_list_of_its_laws():
+    # TN, LN and GEV laws in interleaved rows, one LN part given in the
+    # list as MeanVariance pairs
+    n = 30
+    rng = np.random.default_rng(12)
+    rows = rng.permutation(n)
+    tn, ln, mv, gev = rows[:10], rows[10:16], rows[16:22], rows[22:]
+    m, v = rng.uniform(3.0, 7.0, mv.size), rng.uniform(1.0, 4.0, mv.size)
+    gev_loc, gev_scale = rng.uniform(3.0, 6.0, gev.size), rng.uniform(0.5, 1.5, gev.size)
+    batch = ForecastBatch(n, [
+        (tn, TruncatedNormal(rng.uniform(2.0, 6.0, tn.size), rng.uniform(0.5, 2.0, tn.size))),
+        (ln, LogNormal(rng.uniform(1.0, 1.8, ln.size), rng.uniform(0.2, 0.5, ln.size))),
+        (mv, MeanVariance(m, v).to_lognormal()),
+        (gev, GEV(gev_loc, gev_scale, np.full(gev.size, 0.1))),
+    ])  # fmt: skip
+    laws = batch.laws()
+    obs = np.array([d.sample(rng) for d in laws]).clip(0.0)
+    for i, row in enumerate(mv):
+        laws[row] = MeanVariance(m[i], v[i])
+    cases = _cases(rng.uniform(2.0, 8.0, size=(n, 8)), obs)
+    want = build_report(cases, laws, model="tn-ln").to_dict()
+    assert build_report(cases, batch, model="tn-ln").to_dict() == want
+
+
+def test_an_empirical_batch_reports_in_case_order_with_seeded_tie_breaks():
+    # The batch lists its cases in reverse; ties between members and
+    # observations must still be broken by draws in case order
+    n = 30
+    rng = np.random.default_rng(13)
+    members_rows = np.round(rng.uniform(1.0, 4.0, size=(n, 6)))
+    obs = np.round(rng.uniform(1.0, 4.0, size=n))
+    cases = _cases(members_rows, obs)
+    laws = [Empirical(row) for row in members_rows]
+    sorted_rows = np.sort(members_rows, axis=1)
+    reverse = np.arange(n)[::-1]
+    report = build_report(cases, ForecastBatch(n, [(reverse, sorted_rows[reverse])]), seed=3)
+    assert report.to_dict() == build_report(cases, laws, seed=3).to_dict()
+    ranks = ranks_of_obs(sorted_rows, obs, np.random.default_rng(3))
+    assert report.histogram_counts == RankHistogram.from_ranks(ranks, 7).counts
+    # Empirical laws of two sample sizes are scored, but share no report
+    two_sizes = laws[:-1] + [Empirical(members_rows[-1][:4])]
+    with pytest.raises(InvalidInputError):
+        build_report(cases, two_sizes)
+    with pytest.raises(InvalidInputError):
+        build_report(cases, ForecastBatch.of(two_sizes))
