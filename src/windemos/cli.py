@@ -168,15 +168,9 @@ def _fit_dict(fit):
 
 def _calibration_summary(calib):
     last_day = max(calib.fits) if calib.fits else None
-    # Both branches of a regime-switching day count as fits
-    fits = [f for day in calib.fits.values() for f in (day if isinstance(day, tuple) else (day,))]
     return {
         "n_days_fit": len(calib.fits),
-        "n_fits": len(fits),
-        "n_fits_nonconverged": sum(not f.converged for f in fits),
-        "n_fits_at_floor": sum(f.at_boundary for f in fits),
-        "n_optimizer_evals": sum(f.n_evals for f in fits),
-        "n_split_fallbacks": calib.n_split_fallbacks,
+        **calib.fit_counts(),
         "n_cases": len(calib.cases),
         "skipped": [[day.isoformat(), reason] for day, reason in calib.skipped],
         "last_day": None if last_day is None else last_day.isoformat(),
@@ -340,11 +334,12 @@ def cmd_grid_search(args):
         theta=result.chosen_theta if mixture else None,
         strategy=args.strategy if mixture else "split",
     )
-    report_block = None
+    report_block, holdout_fits = None, None
     if holdout_days:
         calib = rolling_calibrate(
             chosen, g, table, result.chosen_length, days=holdout_days
         )
+        holdout_fits = calib.fit_counts()
         if calib.cases:
             report_block = _report(args, calib.cases, calib.forecasts).to_dict()
 
@@ -382,6 +377,9 @@ def cmd_grid_search(args):
             "selection_days": [d.isoformat() for d in result.days],
             "holdout_days": [d.isoformat() for d in holdout_days],
         },
+        # The selection cells' fits, and the chosen cell's refit on the
+        # holdout days (None when there are none)
+        "fits": {"selection": result.fit_counts, "holdout": holdout_fits},
         "report": report_block,
     }
     _emit(args.output_dir, "report.json", payload)

@@ -1,6 +1,7 @@
 """Command-line behavior: files, determinism, exit codes."""
 
 import csv
+import datetime
 import json
 import os
 import subprocess
@@ -140,6 +141,42 @@ def test_calibrate_reports_fit_counters(tmp_path):
     assert calibration["n_fits_nonconverged"] == sum(not f.converged for f in fits)
     assert calibration["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
     assert calibration["n_optimizer_evals"] == sum(f.n_evals for f in fits) > 0
+
+
+@pytest.mark.parametrize("strategy", ["split", "shared"])
+def test_grid_search_reports_fit_counters(tmp_path, strategy):
+    # The selection cells and the holdout refit are counted apart, each
+    # as the sum over the fits it ran; a shared-strategy length is fitted
+    # once for all its thresholds
+    data = _simulate(tmp_path, scenario="switching", days=26)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        args = ["grid-search", str(data), "--model", "tn-ln", "--strategy", strategy]
+        args += ["--train-days", "6,8", "--theta", "5..6:1", "--output-dir", str(out)]
+        assert main(args) == 0
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+    payload = json.loads((outs[0] / "report.json").read_text())
+    grid, counts = payload["grid"], payload["fits"]
+    dataset, g, _ = read_dataset(data)
+
+    def calibration(n, theta, days):
+        spec = ModelSpec("tn-ln", theta=theta, strategy=strategy)
+        days = [datetime.date.fromisoformat(d) for d in days]
+        return rolling_calibrate(spec, g, dataset, n, days=days)
+
+    thetas = (5.0,) if strategy == "shared" else (5.0, 6.0)
+    selection = [calibration(n, t, grid["selection_days"]) for n in (6, 8) for t in thetas]
+    n, theta = grid["chosen_train_days"], grid["chosen_theta"]
+    holdout = [calibration(n, theta, grid["holdout_days"])]
+    for calibs, got in ((selection, counts["selection"]), (holdout, counts["holdout"])):
+        fits = [f for calib in calibs for pair in calib.fits.values() for f in pair]
+        assert got["n_fits"] == len(fits) > 0
+        assert got["n_fits_nonconverged"] == sum(not f.converged for f in fits)
+        assert got["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
+        assert got["n_optimizer_evals"] == sum(f.n_evals for f in fits)
+        assert got["n_split_fallbacks"] == sum(calib.n_split_fallbacks for calib in calibs)
+    if strategy == "split":
+        assert counts["selection"]["n_split_fallbacks"] > 0
 
 
 @pytest.mark.parametrize("model,hist_classes", [("raw", 9), ("climatology", None)])
