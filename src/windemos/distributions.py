@@ -44,10 +44,6 @@ def log_norm_pdf(z):
     return -0.5 * z * z - _LOG_SQRT_2PI
 
 
-def norm_quantile(p):
-    return special.ndtri(np.asarray(p, dtype=float))
-
-
 def _validate_positive(value, name):
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):

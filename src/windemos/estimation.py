@@ -13,15 +13,16 @@ training window: each group weight acts on its group-sum column
 centred and divided by its spread, and the variance (GEV scale) slope
 on s2 (fbar) divided by its RMS.  The map is linear and scales every
 bounded coordinate by a positive factor alone, so the bounds keep
-their form; it roughly halves the evaluations per fit.
+their form; it roughly halves the evaluations per fit.  `_FAMILY_TABLE`
+declares each family once, and both public fits share one body.
 
 A dataset is parsed once into a `CaseTable`: its cases sorted by date,
 with the columns every link and fit reads (`CaseRows`).  Rolling
 calibration refits daily on the n most recent prior days that have any
 data, pooling all stations, warm-starting each day from the previous
 day's solution; that window is one row slice of the table, and each
-target day is predicted with one link call per branch into a
-`ForecastBatch`, all days joined once at the end.  Grid search
+target day is predicted with one `predictive_law` call per branch into
+a `ForecastBatch`, all days joined once at the end.  Grid search
 evaluates (training length, threshold) cells on a shared selection-day
 set aligned to the longest window, all on one table.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from .distributions import _SMALL_XI, GEV, MeanVariance, TruncatedNormal
+from .distributions import _SMALL_XI, GEV
 from .errors import (
     EstimationError,
     InsufficientDataError,
@@ -46,9 +47,7 @@ from .models import (
     GevParams,
     LnParams,
     TnParams,
-    gev_link,
-    ln_link,
-    tn_link,
+    predictive_law,
 )
 from .scoring import Empirical, ForecastBatch, _crps_ln_grad, _crps_tn_grad, crps_values
 
@@ -237,12 +236,6 @@ def _training_rows(window, g):
     return rows
 
 
-def _window_arrays(window, g):
-    """Group sums, s2, ensemble mean and obs of a TrainingWindow or CaseRows."""
-    rows = _training_rows(window, g)
-    return rows.gs, rows.s2, rows.fbar, rows.obs
-
-
 def default_tn_params(g):
     """Cold start: ensemble-mean weighting with unit variance coefficients."""
     return TnParams(0.0, (1.0 / g.total,) * g.m, 1.0, 1.0)
@@ -380,39 +373,6 @@ def _ln_objective(gs, s2, obs):
     return objective
 
 
-_CRPS_FAMILIES = {
-    "tn": (TnParams, default_tn_params, _tn_objective),
-    "ln": (LnParams, default_ln_params, _ln_objective),
-}
-
-
-def fit_min_crps(family, g, window, init=None):
-    """Minimum-CRPS estimation of TN or LN link coefficients.
-
-    The group weights and both variance coefficients are bounded below
-    by 0, so a coefficient that reaches 0 in one window can leave it in
-    the next.
-    """
-    if family not in _CRPS_FAMILIES:
-        raise InvalidInputError("fit_min_crps handles the 'tn' and 'ln' families")
-    params_type, default, make_objective = _CRPS_FAMILIES[family]
-    gs, s2, _, obs = _window_arrays(window, g)
-    m = g.m
-    if init is None:
-        init = default(g)
-    intercept, weights, b0, b1 = dataclasses.astuple(init)
-    bounds = [(None, None)] + [(0.0, None)] * (m + 2)
-    u0 = np.concatenate([[intercept], weights, [b0, b1]])
-    objective, A = make_objective(gs, s2, obs), _standardizer(gs, s2, m + 3)
-    u, fun, converged, evals = _fit(objective, u0, bounds, A)
-    params = params_type(u[0], tuple(u[1 : 1 + m]), u[1 + m], u[2 + m])
-    mean_raw, var_raw = _links(u, gs, s2)
-    boundary = bool(np.any(var_raw < SCALE_FLOOR))
-    if family == "ln":
-        boundary = boundary or bool(np.any(mean_raw < MEAN_FLOOR))
-    return FitResult(params, fun, converged, evals, boundary)
-
-
 def _gev_nll_grad(z, t, sigma, xi):
     """Partial derivatives of the GEV negative log-density in (loc, sigma, xi).
 
@@ -468,18 +428,78 @@ def _gev_objective(gs, fbar, obs):
     return objective
 
 
-def _gev_vector(p):
-    # The fit's u for GEV parameters, the shape clipped to its bound
-    return np.concatenate([[p.gamma0], p.gamma, [p.sigma0, p.sigma1, min(p.xi, _XI_MAX)]])
+@dataclass(frozen=True)
+class _Family:
+    params: type  # link coefficients: intercept, group weights, then the rest of u
+    cold: object  # g -> cold-start params
+    objective: object  # (gs, second-link column, obs) -> value-and-gradient objective of u
+    column: str  # the CaseRows column of the second link
+    bounds: tuple  # L-BFGS-B bounds of the intercept, of each group weight, then of the rest
+    floor: float  # floor of the first link, -inf where it has none
+    fit: object  # (g, training window, init params) -> FitResult, by the public fit
 
 
-def _gev_inside(u, gs, fbar, obs):
-    # Per training case: is its likelihood at u finite
-    loc, scale_raw = _links(u, gs, fbar)
-    if not np.all(np.isfinite(loc)):
-        return np.zeros(obs.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        return np.isfinite(GEV(loc, np.maximum(scale_raw, SCALE_FLOOR), u[-1]).logpdf(obs))
+# TN and LN weights and variance coefficients are nonnegative; GEV
+# coefficients are free but the shape, below _XI_MAX.  The fits name the
+# module's functions at call time, so a wrapper put on the module (a
+# profiler's, say) sees every fit.
+_NONNEGATIVE = ((None, None), (0.0, None), (0.0, None), (0.0, None))
+_FAMILY_TABLE = {
+    "tn": _Family(
+        TnParams, default_tn_params, _tn_objective, "s2", _NONNEGATIVE, -np.inf,
+        lambda g, window, init: fit_min_crps("tn", g, window, init=init),
+    ),
+    "ln": _Family(
+        LnParams, default_ln_params, _ln_objective, "s2", _NONNEGATIVE, MEAN_FLOOR,
+        lambda g, window, init: fit_min_crps("ln", g, window, init=init),
+    ),
+    "gev": _Family(
+        GevParams, default_gev_params, _gev_objective, "fbar",
+        ((None, None),) * 4 + ((None, _XI_MAX),), -np.inf,
+        lambda g, window, init: fit_gev_ml(g, window, init=init),
+    ),
+}
+FAMILIES = (*_FAMILY_TABLE, *MIXTURES)
+
+
+def _vector(family, m, p):
+    # The fit's u of a family's link coefficients p and its bounds, both
+    # as intercept, group weights, then the rest; a GEV warm start above
+    # the shape's bound starts on it
+    head, weight, *rest = _FAMILY_TABLE[family].bounds
+    bounds = [head] + [weight] * m + rest
+    head, weights, *rest = dataclasses.astuple(p)
+    upper = [np.inf if hi is None else hi for _, hi in bounds]
+    return np.minimum(np.concatenate([[head], weights, rest]), upper), bounds
+
+
+def _fit_family(family, g, rows, init):
+    """The body of both public fits: a family fitted on training rows.
+
+    Packs `init` (None: the cold start) into u, runs `_fit` in the
+    window's standardized coordinates, unpacks, and flags a floored link.
+    """
+    fam = _FAMILY_TABLE[family]
+    m, x = g.m, getattr(rows, fam.column)
+    u0, bounds = _vector(family, m, fam.cold(g) if init is None else init)
+    objective, A = fam.objective(rows.gs, x, rows.obs), _standardizer(rows.gs, x, u0.size)
+    u, fun, converged, evals = _fit(objective, u0, bounds, A)
+    first, second = _links(u, rows.gs, x)
+    boundary = bool(np.any(first < fam.floor) or np.any(second < SCALE_FLOOR))
+    params = fam.params(u[0], tuple(u[1 : 1 + m]), *u[1 + m :])
+    return FitResult(params, fun, converged, evals, boundary)
+
+
+def fit_min_crps(family, g, window, init=None):
+    """Minimum-CRPS estimation of TN or LN link coefficients.
+
+    The group weights and both variance coefficients are bounded below
+    by 0, so a coefficient that reaches 0 in one window can leave it in
+    the next.
+    """
+    if family not in ("tn", "ln"):
+        raise InvalidInputError("fit_min_crps handles the 'tn' and 'ln' families")
+    return _fit_family(family, g, _training_rows(window, g), init)
 
 
 def fit_gev_ml(g, window, init=None):
@@ -491,23 +511,24 @@ def fit_gev_ml(g, window, init=None):
     floor, where the gradient does not lead back, is replaced by the
     cold start, which holds every nonnegative observation.
     """
-    gs, _, fbar, obs = _window_arrays(window, g)
-    m = g.m
-    u0 = _gev_vector(default_gev_params(g) if init is None else init)
-    inside = _gev_inside(u0, gs, fbar, obs)
-    if not np.any(inside):
-        raise EstimationError(
-            "no training case lies inside the GEV support at the initial "
-            "parameters; restart from the Gumbel case (xi = 0)"
-        )
-    if not np.all(inside) or np.any(_links(u0, gs, fbar)[1] <= SCALE_FLOOR):
-        u0 = _gev_vector(default_gev_params(g))
-    bounds = [(None, None)] * (m + 3) + [(None, _XI_MAX)]
-    objective, A = _gev_objective(gs, fbar, obs), _standardizer(gs, fbar, m + 4)
-    u, fun, converged, evals = _fit(objective, u0, bounds, A)
-    params = GevParams(u[0], tuple(u[1 : 1 + m]), u[1 + m], u[2 + m], u[3 + m])
-    boundary = bool(np.any(params.sigma0 + params.sigma1 * fbar < SCALE_FLOOR))
-    return FitResult(params, fun, converged, evals, boundary)
+    rows = _training_rows(window, g)
+    if init is not None:
+        u0, _ = _vector("gev", g.m, init)
+        loc, scale_raw = _links(u0, rows.gs, rows.fbar)
+        # Per training case: is its likelihood at the start finite
+        inside = np.zeros(len(rows), dtype=bool)
+        if np.all(np.isfinite(loc)):
+            with np.errstate(all="ignore"):
+                sigma = np.maximum(scale_raw, SCALE_FLOOR)
+                inside = np.isfinite(GEV(loc, sigma, u0[-1]).logpdf(rows.obs))
+        if not np.any(inside):
+            raise EstimationError(
+                "no training case lies inside the GEV support at the initial "
+                "parameters; restart from the Gumbel case (xi = 0)"
+            )
+        if not np.all(inside) or np.any(scale_raw <= SCALE_FLOOR):
+            init = None
+    return _fit_family("gev", g, rows, init)
 
 
 def _split_mask(model, rows):
@@ -553,31 +574,6 @@ def fit_switch(model, g, window, init_low=None, init_high=None):
     return low_fit, high_fit
 
 
-@dataclass(frozen=True)
-class _Family:
-    fit: object  # (g, training window, init params) -> FitResult
-    laws: object  # (params, CaseRows) -> one law with a parameter per row
-
-
-# The fits name the module's functions at call time, so a wrapper put on
-# the module (a profiler's, say) sees every fit.
-_FAMILY_TABLE = {
-    "tn": _Family(
-        lambda g, window, init: fit_min_crps("tn", g, window, init=init),
-        lambda p, rows: TruncatedNormal(*tn_link(p, rows.gs, rows.s2)),
-    ),
-    "ln": _Family(
-        lambda g, window, init: fit_min_crps("ln", g, window, init=init),
-        lambda p, rows: MeanVariance(*ln_link(p, rows.gs, rows.s2)).to_lognormal(),
-    ),
-    "gev": _Family(
-        lambda g, window, init: fit_gev_ml(g, window, init=init),
-        lambda p, rows: GEV(*gev_link(p, rows.gs, rows.fbar), np.full(len(rows), p.xi)),
-    ),
-}
-FAMILIES = (*_FAMILY_TABLE, *MIXTURES)
-
-
 def _fit_day(model, g, rows, prev):
     # One day's fit, warm-started from the previous day's (None: cold)
     if model.is_mixture:
@@ -587,19 +583,18 @@ def _fit_day(model, g, rows, prev):
 
 
 def _predict(model, fit, rows):
-    """The ForecastBatch of the rows, one link call per branch.
+    """The ForecastBatch of the rows, one `predictive_law` call per branch.
 
     A mixture predicts TN where the ensemble median is below theta and
     its high-wind family elsewhere, as `predict_switch` does per case.
     """
     index = np.arange(len(rows))
-    if not model.is_mixture:
-        law = _FAMILY_TABLE[model.family].laws(fit.params, rows)
-        return ForecastBatch(index.size, [(index, law)])
-    below = rows.median < model.theta
-    low = _FAMILY_TABLE["tn"].laws(fit[0].params, rows[below])
-    high = _FAMILY_TABLE[model.high_family].laws(fit[1].params, rows[~below])
-    return ForecastBatch(index.size, [(index[below], low), (index[~below], high)])
+    parts = [(index, fit, rows)]
+    if model.is_mixture:
+        below = rows.median < model.theta
+        parts = [(index[below], fit[0], rows[below]), (index[~below], fit[1], rows[~below])]
+    laws = [(i, predictive_law(f.params, r.gs, r.s2, r.fbar)) for i, f, r in parts]
+    return ForecastBatch(index.size, laws)
 
 
 def days_with_data(dataset):
@@ -627,7 +622,7 @@ def _windows(table, n, days, skipped):
         yield day, slice(b[i - n], b[i]), slice(b[i], b[i + 1])
 
 
-def rolling_calibrate(model, g, dataset, n, days=None, warm_start=True):
+def rolling_calibrate(model, g, dataset, n, days=None):
     """Daily refit over a rolling window, then predict that day's cases.
 
     The window for a target day holds the n most recent prior days that
@@ -643,7 +638,7 @@ def rolling_calibrate(model, g, dataset, n, days=None, warm_start=True):
         rows = table.rows[window]
         if model.is_mixture and model.strategy == "split" and _split_mask(model, rows) is None:
             result.n_split_fallbacks += 1
-        fit = _fit_day(model, g, rows, prev if warm_start else None)
+        fit = _fit_day(model, g, rows, prev)
         result.fits[day] = fit
         cases.extend(table.cases[target])
         batches.append(_predict(model, fit, table.rows[target]))

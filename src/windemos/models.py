@@ -12,6 +12,10 @@ Links:
 
 The regime-switching model applies the TN link when the ensemble median
 is below a threshold theta and the high-wind link (LN or GEV) otherwise.
+
+`predictive_law` builds the law of any family's coefficients, from one
+case's statistics (`predict_*`) or from columns of cases (the batched
+prediction of a rolling calibration).  A floored link warns.
 """
 
 import datetime
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GEV, LogNormal, MeanVariance, TruncatedNormal
+from .distributions import GEV, MeanVariance, TruncatedNormal
 from .errors import (
     DegenerateScaleWarning,
     InsufficientDataError,
@@ -221,75 +225,77 @@ def _warn_floor(engaged, what):
         warnings.warn(f"predictive {what} hit its lower floor", DegenerateScaleWarning, stacklevel=3)
 
 
-def tn_link(p, group_sums, s2, warn=True):
+def tn_link(p, group_sums, s2):
     """TN location and scale from group sums and ensemble variance."""
     group_sums = np.asarray(group_sums, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     loc = _group_weight_sum(p.a0, p.a, group_sums, group_sums.shape[-1])
     raw = p.b0 + p.b1 * s2
-    if warn:
-        _warn_floor(raw < SCALE_FLOOR, "scale")
+    _warn_floor(raw < SCALE_FLOOR, "scale")
     scale2 = np.maximum(raw, SCALE_FLOOR)
     return loc, np.sqrt(scale2)
 
 
-def ln_link(p, group_sums, s2, warn=True):
+def ln_link(p, group_sums, s2):
     """LN mean and variance (original scale) from group sums and variance."""
     group_sums = np.asarray(group_sums, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     m_raw = _group_weight_sum(p.alpha0, p.alpha, group_sums, group_sums.shape[-1])
     v_raw = p.beta0 + p.beta1 * s2
-    if warn:
-        _warn_floor((m_raw < MEAN_FLOOR) | (v_raw < SCALE_FLOOR), "mean/variance")
+    _warn_floor((m_raw < MEAN_FLOOR) | (v_raw < SCALE_FLOOR), "mean/variance")
     return np.maximum(m_raw, MEAN_FLOOR), np.maximum(v_raw, SCALE_FLOOR)
 
 
-def gev_link(p, group_sums, fbar, warn=True):
+def gev_link(p, group_sums, fbar):
     """GEV location and scale from group sums and ensemble mean."""
     group_sums = np.asarray(group_sums, dtype=float)
     fbar = np.asarray(fbar, dtype=float)
     loc = _group_weight_sum(p.gamma0, p.gamma, group_sums, group_sums.shape[-1])
     raw = p.sigma0 + p.sigma1 * fbar
-    if warn:
-        _warn_floor(raw < SCALE_FLOOR, "scale")
+    _warn_floor(raw < SCALE_FLOOR, "scale")
     return loc, np.maximum(raw, SCALE_FLOOR)
 
 
-def _predict_tn(p, g, f, stats):
-    loc, scale = tn_link(p, g.group_sums(f.members), stats.variance)
-    return TruncatedNormal(loc, scale)
+_LAWS = {
+    TnParams: lambda p, gs, s2, fbar: TruncatedNormal(*tn_link(p, gs, s2)),
+    LnParams: lambda p, gs, s2, fbar: MeanVariance(*ln_link(p, gs, s2)).to_lognormal(),
+    GevParams: lambda p, gs, s2, fbar: GEV(*gev_link(p, gs, fbar), np.full(np.shape(fbar), p.xi)),
+}
 
 
-def _predict_ln(p, g, f, stats):
-    m, v = ln_link(p, g.group_sums(f.members), stats.variance)
-    return MeanVariance(m, v).to_lognormal()
+def predictive_law(p, gs, s2, fbar):
+    """The predictive law of link coefficients `p`, chosen by their type.
+
+    `gs`, `s2` and `fbar` are one case's group sums, unbiased ensemble
+    variance and ensemble mean, giving one scalar law; or columns of them,
+    one row per case, giving one law with a parameter per row.
+    """
+    law = _LAWS.get(type(p))
+    if law is None:
+        raise InvalidParameterError(f"no predictive family has {type(p).__name__} coefficients")
+    return law(p, gs, s2, fbar)
 
 
-def _predict_gev(p, g, f, stats):
-    loc, scale = gev_link(p, g.group_sums(f.members), stats.mean)
-    return GEV(loc, scale, p.xi)
+def _case_law(p, g, f, stats):
+    return predictive_law(p, g.group_sums(f.members), stats.variance, stats.mean)
 
 
 def predict_tn(p, g, f):
     """Truncated-normal predictive law for one forecast case."""
-    return _predict_tn(p, g, f, ensemble_stats(f))
+    return _case_law(p, g, f, ensemble_stats(f))
 
 
 def predict_ln(p, g, f):
     """Log-normal predictive law for one forecast case."""
-    return _predict_ln(p, g, f, ensemble_stats(f))
+    return _case_law(p, g, f, ensemble_stats(f))
 
 
 def predict_gev(p, g, f):
     """GEV predictive law for one forecast case."""
-    return _predict_gev(p, g, f, ensemble_stats(f))
+    return _case_law(p, g, f, ensemble_stats(f))
 
 
 def predict_switch(c, g, f):
     """Regime-switching prediction: TN below theta, high model at or above."""
     stats = ensemble_stats(f)
-    if stats.median < c.theta:
-        return _predict_tn(c.low_params, g, f, stats)
-    if isinstance(c.high_params, LnParams):
-        return _predict_ln(c.high_params, g, f, stats)
-    return _predict_gev(c.high_params, g, f, stats)
+    return _case_law(c.low_params if stats.median < c.theta else c.high_params, g, f, stats)

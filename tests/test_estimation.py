@@ -53,8 +53,9 @@ from windemos.estimation import (
     _standardized,
     _standardizer,
     _tn_objective,
-    _window_arrays,
+    _training_rows,
 )
+from windemos.models import MEAN_FLOOR, SCALE_FLOOR
 
 START = datetime.date(2024, 1, 1)
 
@@ -190,6 +191,59 @@ def test_fit_gev_ml_raises_when_no_case_is_feasible_at_init():
         fit_gev_ml(G4, window, init=bad_init)
 
 
+def _floor_window(calm_cases):
+    """60 cases whose obs equal the ensemble mean, or with calm outliers.
+
+    With exact obs every fit shrinks its scale onto the floor.  Otherwise
+    the first `calm_cases` cases have members near 1 m/s and obs 0.1, far
+    below the line 2 (fbar - 6) of the rest, so a fitted mean link
+    extrapolates below zero there.
+    """
+    rng = np.random.default_rng(0)
+    cases = []
+    for i in range(60):
+        calm = i < calm_cases
+        members = tuple(np.maximum(rng.normal(1.0 if calm else 8.0, 1.0, size=4), 0.05))
+        if calm_cases == 0:
+            obs = float(np.mean(members))
+        else:
+            obs = 0.1 if calm else max(0.0, 2.0 * (np.mean(members) - 6.0) + rng.normal(0, 1.0))
+        cases.append(EnsembleForecast(START, "S1", members, obs=obs))
+    return TrainingWindow(1, tuple(cases))
+
+
+def _floors_reached(p, rows):
+    # Which links of fitted params reach their floor on some training case
+    if isinstance(p, TnParams):
+        raw = {"tn variance": (p.b0 + p.b1 * rows.s2, SCALE_FLOOR)}
+    elif isinstance(p, LnParams):
+        raw = {
+            "ln mean": (p.alpha0 + rows.gs @ np.array(p.alpha), MEAN_FLOOR),
+            "ln variance": (p.beta0 + p.beta1 * rows.s2, SCALE_FLOOR),
+        }
+    else:
+        raw = {"gev scale": (p.sigma0 + p.sigma1 * rows.fbar, SCALE_FLOOR)}
+    return {name for name, (link, floor) in raw.items() if np.any(link < floor)}
+
+
+def test_fits_flag_a_floor_exactly_when_one_binds():
+    windows = {"exact": _floor_window(0), "outliers": _floor_window(4)}
+    want = [
+        ("tn", "exact", {"tn variance"}),
+        ("ln", "exact", {"ln variance"}),
+        ("gev", "exact", {"gev scale"}),
+        ("tn", "outliers", set()),
+        # Only the mean floor binds: the flag needs the LN mean floor
+        ("ln", "outliers", {"ln mean"}),
+        ("gev", "outliers", set()),
+    ]
+    for family, name, floors in want:
+        window = windows[name]
+        fit = fit_gev_ml(G4, window) if family == "gev" else fit_min_crps(family, G4, window)
+        assert _floors_reached(fit.params, _training_rows(window, G4)) == floors, (family, name)
+        assert fit.at_boundary is bool(floors), (family, name)
+
+
 def _switch_window(rng, n_low, n_high, theta):
     cases = []
     for _ in range(n_low):
@@ -292,8 +346,10 @@ def test_rolling_calibrate_day_filter():
 
 def test_rolling_calibrate_cold_start_matches_per_day_fit():
     dataset = _daily_dataset(9)
-    calib = rolling_calibrate(ModelSpec("tn"), G4, dataset, n=6, warm_start=False)
+    # The first fitted day has no previous fit to start from
+    calib = rolling_calibrate(ModelSpec("tn"), G4, dataset, n=6)
     day = START + datetime.timedelta(days=6)
+    assert min(calib.fits) == day
     window_cases = tuple(c for c in dataset if c.date < day)
     manual = fit_min_crps("tn", G4, TrainingWindow(6, window_cases))
     assert calib.fits[day].params == manual.params
@@ -433,8 +489,9 @@ def _assert_gradient(objective, u, h=1e-6, rtol=1e-5):
     return grad
 
 
-def _arrays(window):
-    return _window_arrays(window, G4)
+def _arrays(window, g=G4):
+    rows = _training_rows(window, g)
+    return rows.gs, rows.s2, rows.fbar, rows.obs
 
 
 def _crps_window():
@@ -561,7 +618,7 @@ def test_fit_returns_the_best_point_it_evaluated():
         if first <= c.date < first + datetime.timedelta(days=8) and np.median(c.members) >= 6.0
     )
     window = TrainingWindow(8, cases)
-    gs, _, fbar, obs = _window_arrays(window, g)
+    gs, _, fbar, obs = _arrays(window, g)
     objective = _gev_objective(gs, fbar, obs)
     cold = default_gev_params(g)
     start = objective(np.array([cold.gamma0, *cold.gamma, cold.sigma0, cold.sigma1, cold.xi]))[0]
@@ -610,7 +667,7 @@ def test_gev_cases_far_in_a_floored_tail_cost_the_penalty():
     data = generate(ScenarioConfig(days=30, stations=3, group_spec=g, truth="switching", seed=2))
     end = START + datetime.timedelta(days=8)
     window = TrainingWindow(8, tuple(c for c in data if c.date < end))
-    gs, _, fbar, obs = _window_arrays(window, g)
+    gs, _, fbar, obs = _arrays(window, g)
     objective = _gev_objective(gs, fbar, obs)
     assert objective(np.array([-0.02, 0.34, 0.4, -2.0, -0.05]))[0] < 2e6
     simplex = _nelder_mead(objective, [0.0, 0.125, 1.0, 1.0, 0.05], slice(0, 0))

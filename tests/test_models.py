@@ -132,13 +132,6 @@ def test_scale_floor_engages_with_warning():
     with pytest.warns(DegenerateScaleWarning):
         _, scale = tn_link(p, np.array([5.0]), 0.0)
     assert float(scale) == pytest.approx(1e-2)  # sqrt of the 1e-4 variance floor
-    # warn=False silences the advisory but keeps the floor
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, scale = tn_link(p, np.array([5.0]), 0.0, warn=False)
-    assert float(scale) == pytest.approx(1e-2)
 
 
 def test_mean_floor_engages_with_warning():
@@ -229,6 +222,13 @@ def test_switch_supports_gev_high_model():
     )
     out = predict_switch(cfg, GroupSpec((3,)), _case([5.0, 7.0, 9.0]))
     assert isinstance(out, GEV)
+
+
+def test_switch_without_high_params_fails_loudly():
+    # The law is chosen by the coefficients' type; None has no family
+    cfg = RegimeSwitchConfig(theta=1.0, low_params=TN_P)
+    with pytest.raises(InvalidParameterError):
+        predict_switch(cfg, GroupSpec((3,)), _case([5.0, 7.0, 9.0]))
 
 
 def test_switch_config_validation():
