@@ -5,16 +5,19 @@ CRPS over a training window; GEV coefficients by maximum likelihood.
 Each objective returns its value and its exact gradient: the CRPS
 partial derivatives in each case's location and scale (or the GEV
 score), chained through the links; a floored link passes no gradient.
-The optimizer is L-BFGS-B with one restart from the incumbent.  Its
-bounds keep the TN and LN weights and variance coefficients
-nonnegative and the GEV shape below 1, where the predictive mean and
-CRPS exist.  It works in standardized coordinates, built once per
-training window: each group weight acts on its group-sum column
-centred and divided by its spread, and the variance (GEV scale) slope
-on s2 (fbar) divided by its RMS.  The map is linear and scales every
-bounded coordinate by a positive factor alone, so the bounds keep
-their form; it roughly halves the evaluations per fit.  `_FAMILY_TABLE`
-declares each family once, and both public fits share one body.
+The TN and LN objectives also return their exact Hessian, J^T W J of
+the per-case second CRPS partials, and are minimized by projected
+Newton; a Newton run that does not converge, and every GEV fit, runs
+L-BFGS-B with one restart from the incumbent.  The bounds keep the TN
+and LN weights and variance coefficients nonnegative and the GEV shape
+below 1, where the predictive mean and CRPS exist.  Both optimizers
+work in standardized coordinates, built once per training window: each
+group weight acts on its group-sum column centred and divided by its
+spread, and the variance (GEV scale) slope on s2 (fbar) divided by its
+RMS.  The map is linear and scales every bounded coordinate by a
+positive factor alone, so the bounds keep their form; it roughly halves
+L-BFGS-B's evaluations per fit.  `_FAMILY_TABLE` declares each family
+once, and both public fits share one body.
 
 A dataset is parsed once into a `CaseTable`: its cases sorted by date,
 with the columns every link and fit reads (`CaseRows`).  Rolling
@@ -32,7 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .distributions import _SMALL_XI, GEV
 from .errors import (
@@ -52,8 +54,17 @@ from .models import (
 from .scoring import Empirical, ForecastBatch, _crps_ln_grad, _crps_tn_grad, crps_values
 
 MIXTURES = ("tn-ln", "tn-gev")
-# L-BFGS-B stopping rules; each fit runs it twice (see `_fit`)
+# The stopping rules of every fit: the projected gradient (gtol) or the
+# relative decrease of one step (ftol).  L-BFGS-B runs twice on them (see
+# `_lbfgsb`); projected Newton stops on the same two (see `_newton`)
 _FIT_OPTIONS = {"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-7}
+# Projected Newton: iterations before a run is handed to L-BFGS-B, the
+# Armijo constant, the step below which the line search gives up and the
+# widest gap to a bound that counts as on it
+_NEWTON_MAXITER = 50
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
+_ACTIVE_GAP = 1e-3
 # The GEV shape stays below 1, where the mean and the CRPS exist
 _XI_MAX = 1.0 - 1e-6
 _BIG = 1e12
@@ -114,8 +125,9 @@ class FitResult:
     params: object
     objective: float
     converged: bool
-    n_evals: int
+    n_evals: int  # every trial point of the fit, Newton and L-BFGS-B alike
     at_boundary: bool = False
+    newton_fallback: bool = False  # projected Newton stalled; L-BFGS-B finished
 
 
 @dataclass
@@ -143,6 +155,7 @@ class CalibrationResult:
             "n_fits_nonconverged": sum(not f.converged for f in fits),
             "n_fits_at_floor": sum(f.at_boundary for f in fits),
             "n_optimizer_evals": sum(f.n_evals for f in fits),
+            "n_newton_fallbacks": sum(f.newton_fallback for f in fits),
             "n_split_fallbacks": self.n_split_fallbacks,
         }
 
@@ -273,28 +286,98 @@ def _standardizer(gs, x, n):
 
 
 def _standardized(objective, A):
-    # The objective of v, u = A v: its value, and the gradient A^T grad(u)
-    def of_v(v):
-        val, grad = objective(A @ v)
-        return val, A.T @ grad
+    # The objective of v, u = A v: its value, the gradient A^T grad(u)
+    # and, when asked, the Hessian A^T H(u) A
+    def of_v(v, hessian=False):
+        if not hessian:
+            val, grad = objective(A @ v)
+            return val, A.T @ grad
+        val, grad, hess = objective(A @ v, True)
+        return val, A.T @ grad, A.T @ hess @ A
 
     return of_v
 
 
-def _fit(objective, u0, bounds, A):
-    """Minimize an exact value-and-gradient objective by L-BFGS-B.
+def _newton_step(hess, grad):
+    # -hess^-1 grad by Cholesky, with Levenberg damping lam I added while
+    # hess + lam I is not positive definite
+    eye, lam = np.eye(grad.size), 0.0
+    size = max(float(np.max(np.abs(np.diag(hess)))), 1e-12)
+    while True:
+        try:
+            low = np.linalg.cholesky(hess + lam * eye)
+            return -np.linalg.solve(low.T, np.linalg.solve(low, grad))
+        except np.linalg.LinAlgError:
+            lam = max(10.0 * lam, 1e-10 * size)
 
-    The optimizer works in the standardized coordinates v of u = A v
-    (`_standardizer`), starting from A^-1 u0, and the fit returns A v.
-    A scales each coordinate bounded by 0 by a positive factor alone and
-    leaves the GEV shape as it is, so `bounds` hold for v unchanged.
+
+def _newton(of_v, v, lower, upper):
+    """Projected Newton on box bounds (Bertsekas 1982, SIAM J. Control Optim. 20).
+
+    A coordinate within a small gap of a bound that its gradient points
+    out of is active and takes a gradient step onto the bound; the
+    others take the Newton step of their block of the exact Hessian.
+    Armijo backtracking runs along the projected path, and each trial
+    point is evaluated with its Hessian, so an accepted full step costs
+    one evaluation.  Stops on `_FIT_OPTIONS`' projected gradient or
+    relative decrease.  Returns the best point evaluated (a trial the
+    line search rejected can lie below the accepted one), its value,
+    whether the run converged, and the number of evaluations.
+    """
+    best, evals = [np.inf, v], 0
+
+    def evaluate(v):
+        nonlocal evals
+        evals += 1
+        out = of_v(v, True)
+        if out[0] < best[0]:
+            best[:] = out[0], v
+        return out
+
+    def result(converged):
+        return best[1], best[0], converged, evals
+
+    val, grad, hess = evaluate(v)
+    for _ in range(_NEWTON_MAXITER):
+        pg = np.max(np.abs(v - np.clip(v - grad, lower, upper)), initial=0.0)
+        if pg <= _FIT_OPTIONS["gtol"]:
+            return result(True)
+        gap = min(pg, _ACTIVE_GAP)
+        active = ((v <= lower + gap) & (grad > 0.0)) | ((v >= upper - gap) & (grad < 0.0))
+        free = ~active
+        step = -grad
+        if np.any(free):
+            step[free] = _newton_step(hess[np.ix_(free, free)], grad[free])
+        slope = float(grad[free] @ step[free])
+        t = 1.0
+        while True:
+            trial = np.clip(v + t * step, lower, upper)
+            out = evaluate(trial)
+            decrease = -t * slope + float(grad[active] @ (v - trial)[active])
+            if val - out[0] >= _ARMIJO * decrease:
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                return result(False)
+        drop = (val - out[0]) / max(abs(val), abs(out[0]), 1.0)
+        v, (val, grad, hess) = trial, out
+        if drop <= _FIT_OPTIONS["ftol"]:
+            return result(True)
+    return result(False)
+
+
+def _lbfgsb(of_v, v, val, bounds):
+    """L-BFGS-B from v (value val, inf if not yet evaluated), run twice.
+
     One restart from the incumbent rescues runs whose line search stalls
     at a kink, such as the GEV support penalty.  A stalled run can end on
     a rejected trial point above its start, so the incumbent is the best
-    point evaluated so far, and that is what the fit returns.
+    point evaluated so far, and that is what the run returns, with its
+    value, whether either run converged, and the number of evaluations.
     """
-    of_v = _standardized(objective, A)
-    best = [np.inf, np.linalg.solve(A, u0)]
+    from scipy import optimize
+
+    best = [val, v]
 
     def tracked(v):
         val, grad = of_v(v)
@@ -309,17 +392,43 @@ def _fit(objective, u0, bounds, A):
         )
         evals += int(run.nfev)
         converged = converged or bool(run.success)
-    return A @ best[1], float(best[0]), converged, evals
+    return best[1], float(best[0]), converged, evals
 
 
-def _mean_and_grad(per_case, grad):
-    # Mean objective and its gradient (grad holds the sums over cases);
-    # a non-finite value or gradient is a wall the line search backs off
-    val = float(np.mean(per_case))
-    grad = grad / per_case.size
-    if not (np.isfinite(val) and np.all(np.isfinite(grad))):
-        return _BIG, np.zeros_like(grad)
-    return val, grad
+def _fit(objective, u0, bounds, A, newton):
+    """Minimize an exact-derivative objective on box bounds.
+
+    The optimizer works in the standardized coordinates v of u = A v
+    (`_standardizer`), starting from A^-1 u0, and the fit returns A v.
+    A scales each coordinate bounded by 0 by a positive factor alone and
+    leaves the GEV shape as it is, so `bounds` hold for v unchanged.
+    An objective with a Hessian (`newton`) is minimized by projected
+    Newton; a run that does not converge is handed, from its best point,
+    to L-BFGS-B, which every other objective runs from the start.
+    Returns u, its value, whether the fit converged, the number of
+    evaluations and whether Newton handed over.
+    """
+    of_v = _standardized(objective, A)
+    v, val, evals = np.linalg.solve(A, u0), np.inf, 0
+    if newton:
+        lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
+        upper = np.array([np.inf if hi is None else hi for _, hi in bounds])
+        v, val, converged, evals = _newton(of_v, np.clip(v, lower, upper), lower, upper)
+        if converged:
+            return A @ v, val, True, evals, False
+    v, val, converged, more = _lbfgsb(of_v, v, val, bounds)
+    return A @ v, val, converged, evals + more, newton
+
+
+def _mean_and_grad(per_case, grad, hess=None):
+    # Mean objective, its gradient (grad holds the sums over cases) and,
+    # if given, its Hessian (hess: the sum); a non-finite one is a wall
+    # the line search backs off
+    n = per_case.size
+    out = (float(np.mean(per_case)), grad / n) + (() if hess is None else (hess / n,))
+    if not all(np.all(np.isfinite(part)) for part in out):
+        return (_BIG,) + tuple(np.zeros_like(part) for part in out[1:])
+    return out
 
 
 def _links(u, gs, x):
@@ -335,40 +444,95 @@ def _links_grad(gs, x, d_first, d_second):
     return np.concatenate([[np.sum(d_first)], d_first @ gs, [np.sum(d_second), d_second @ x]])
 
 
-def _tn_objective(gs, s2, obs):
-    """Mean TN CRPS of u = (a0, a, b0, b1), with its gradient."""
+def _links_hess(first, second, h11, h12, h22):
+    # J^T W J summed over cases: each case's 2x2 Hessian in its two links
+    # chained back to their coefficients, whose columns (the links'
+    # derivatives, [1, gs] and [1, x]) are `first` and `second`
+    k = first.shape[1]
+    hess = np.empty((k + 2, k + 2))
+    hess[:k, :k] = first.T @ (h11[:, None] * first)
+    hess[:k, k:] = first.T @ (h12[:, None] * second)
+    hess[k:, :k] = hess[:k, k:].T
+    hess[k:, k:] = second.T @ (h22[:, None] * second)
+    return hess
 
-    def objective(u):
+
+def _link_columns(gs, x):
+    # The derivatives of the two links in their coefficients, one row per case
+    ones = np.ones((x.size, 1))
+    return np.hstack([ones, gs]), np.hstack([ones, x[:, None]])
+
+
+def _tn_objective(gs, s2, obs):
+    """Mean TN CRPS of u = (a0, a, b0, b1), with its gradient and Hessian.
+
+    The scale is sqrt(var), var the floored second link, so in var the
+    derivatives are d_sigma/(2 sigma) and (h_sigma_sigma - d_sigma/sigma)
+    /(4 sigma^2), and the mixed one h_mu_sigma/(2 sigma); on the floor
+    all three are 0.
+    """
+    first, second = _link_columns(gs, s2)
+
+    def objective(u, hessian=False):
         loc, var_raw = _links(u, gs, s2)
+        on = var_raw > SCALE_FLOOR
         scale = np.sqrt(np.maximum(var_raw, SCALE_FLOOR))
         with np.errstate(all="ignore"):
-            crps, d_loc, d_scale = _crps_tn_grad(loc, scale, obs)
-            # d scale / d scale^2 = 1/(2 scale) off the floor, 0 on it
-            d_var = np.where(var_raw > SCALE_FLOOR, 0.5 * d_scale / scale, 0.0)
-            return _mean_and_grad(crps, _links_grad(gs, s2, d_loc, d_var))
+            crps, (d_loc, d_scale), (h_ll, h_ls, h_ss) = _crps_tn_grad(loc, scale, obs)
+            d_var = np.where(on, 0.5 * d_scale / scale, 0.0)
+            grad = _links_grad(gs, s2, d_loc, d_var)
+            if not hessian:
+                return _mean_and_grad(crps, grad)
+            h_lv = np.where(on, 0.5 * h_ls / scale, 0.0)
+            h_vv = np.where(on, 0.25 * (h_ss - d_scale / scale) / (scale * scale), 0.0)
+            return _mean_and_grad(crps, grad, _links_hess(first, second, h_ll, h_lv, h_vv))
 
     return objective
 
 
 def _ln_objective(gs, s2, obs):
-    """Mean LN CRPS of u = (alpha0, alpha, beta0, beta1), with its gradient."""
+    """Mean LN CRPS of u = (alpha0, alpha, beta0, beta1), with its gradient and Hessian.
 
-    def objective(u):
+    The links are the mean M and the variance V of the law.  With
+    T = M^2 + V and s = V/T, its log-scale parameters are q = sigma^2 =
+    log T - 2 log M and mu = log M - q/2, so M d/dM moves (mu, q) along
+    (1 + s, -2s) and T d/dV along b = (-1/2, 1).  With c the CRPS
+    derivatives in (mu, q), e = c_mu/2 - c_q, c_bb the second derivative
+    along b and c_1b that along mu and b: M dCRPS/dM = c_mu + 2 s e,
+    T dCRPS/dV = -e, M^2 d2/dM2 = c_mumu - 4 s c_1b + 4 s^2 c_bb - c_mu
+    - 2 s (3 - 2s) e, M T d2/dM dV = c_1b - 2 s c_bb + 2 (1 - s) e and
+    T^2 d2/dV2 = c_bb + e.  A floored link contributes 0.
+    """
+    first, second = _link_columns(gs, s2)
+
+    def objective(u, hessian=False):
         mean_raw, var_raw = _links(u, gs, s2)
+        on_mean, on_var = mean_raw > MEAN_FLOOR, var_raw > SCALE_FLOOR
         mean = np.maximum(mean_raw, MEAN_FLOOR)
         var = np.maximum(var_raw, SCALE_FLOOR)
-        ratio = var / (mean * mean)
-        mu = np.log(mean) - 0.5 * np.log1p(ratio)
-        sigma = np.sqrt(np.log1p(ratio))
+        total = mean * mean + var
+        q = np.log1p(var / (mean * mean))
+        sigma = np.sqrt(q)
         with np.errstate(all="ignore"):
-            crps, d_mu, d_sigma = _crps_ln_grad(mu, sigma, obs)
-            # sigma^2 = log(mean^2 + var) - 2 log(mean), mu = log(mean) - sigma^2/2
-            d_s2 = 0.5 * (d_sigma / sigma - d_mu)
-            total = mean * mean + var
-            d_mean = d_mu / mean - 2.0 * var * d_s2 / (mean * total)
-            d_mean = np.where(mean_raw > MEAN_FLOOR, d_mean, 0.0)
-            d_var = np.where(var_raw > SCALE_FLOOR, d_s2 / total, 0.0)
-            return _mean_and_grad(crps, _links_grad(gs, s2, d_mean, d_var))
+            crps, (d_mu, d_sigma), (h_mm, h_ms, h_ss) = _crps_ln_grad(
+                np.log(mean) - 0.5 * q, sigma, obs
+            )
+            s = var / total
+            e = 0.5 * (d_mu - d_sigma / sigma)
+            d_mean = np.where(on_mean, (d_mu + 2.0 * s * e) / mean, 0.0)
+            d_var = np.where(on_var, -e / total, 0.0)
+            grad = _links_grad(gs, s2, d_mean, d_var)
+            if not hessian:
+                return _mean_and_grad(crps, grad)
+            c_mq = 0.5 * h_ms / sigma
+            c_1b = c_mq - 0.5 * h_mm
+            c_bb = 0.25 * h_mm - c_mq + 0.25 * (h_ss - d_sigma / sigma) / q
+            h11 = h_mm - 4.0 * s * (c_1b - s * c_bb) - d_mu - 2.0 * s * (3.0 - 2.0 * s) * e
+            h12 = c_1b - 2.0 * s * c_bb + 2.0 * (1.0 - s) * e
+            h11 = np.where(on_mean, h11 / (mean * mean), 0.0)
+            h12 = np.where(on_mean & on_var, h12 / (mean * total), 0.0)
+            h22 = np.where(on_var, (c_bb + e) / (total * total), 0.0)
+            return _mean_and_grad(crps, grad, _links_hess(first, second, h11, h12, h22))
 
     return objective
 
@@ -434,8 +598,9 @@ class _Family:
     cold: object  # g -> cold-start params
     objective: object  # (gs, second-link column, obs) -> value-and-gradient objective of u
     column: str  # the CaseRows column of the second link
-    bounds: tuple  # L-BFGS-B bounds of the intercept, of each group weight, then of the rest
+    bounds: tuple  # bounds of the intercept, of each group weight, then of the rest
     floor: float  # floor of the first link, -inf where it has none
+    newton: bool  # the objective also gives its Hessian: fit by projected Newton
     fit: object  # (g, training window, init params) -> FitResult, by the public fit
 
 
@@ -446,16 +611,16 @@ class _Family:
 _NONNEGATIVE = ((None, None), (0.0, None), (0.0, None), (0.0, None))
 _FAMILY_TABLE = {
     "tn": _Family(
-        TnParams, default_tn_params, _tn_objective, "s2", _NONNEGATIVE, -np.inf,
+        TnParams, default_tn_params, _tn_objective, "s2", _NONNEGATIVE, -np.inf, True,
         lambda g, window, init: fit_min_crps("tn", g, window, init=init),
     ),
     "ln": _Family(
-        LnParams, default_ln_params, _ln_objective, "s2", _NONNEGATIVE, MEAN_FLOOR,
+        LnParams, default_ln_params, _ln_objective, "s2", _NONNEGATIVE, MEAN_FLOOR, True,
         lambda g, window, init: fit_min_crps("ln", g, window, init=init),
     ),
     "gev": _Family(
         GevParams, default_gev_params, _gev_objective, "fbar",
-        ((None, None),) * 4 + ((None, _XI_MAX),), -np.inf,
+        ((None, None),) * 4 + ((None, _XI_MAX),), -np.inf, False,
         lambda g, window, init: fit_gev_ml(g, window, init=init),
     ),
 }
@@ -483,11 +648,11 @@ def _fit_family(family, g, rows, init):
     m, x = g.m, getattr(rows, fam.column)
     u0, bounds = _vector(family, m, fam.cold(g) if init is None else init)
     objective, A = fam.objective(rows.gs, x, rows.obs), _standardizer(rows.gs, x, u0.size)
-    u, fun, converged, evals = _fit(objective, u0, bounds, A)
+    u, fun, converged, evals, handed = _fit(objective, u0, bounds, A, fam.newton)
     first, second = _links(u, rows.gs, x)
     boundary = bool(np.any(first < fam.floor) or np.any(second < SCALE_FLOOR))
     params = fam.params(u[0], tuple(u[1 : 1 + m]), *u[1 + m :])
-    return FitResult(params, fun, converged, evals, boundary)
+    return FitResult(params, fun, converged, evals, boundary, handed)
 
 
 def fit_min_crps(family, g, window, init=None):

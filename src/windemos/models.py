@@ -19,6 +19,7 @@ prediction of a rolling calibration).  A floored link warns.
 """
 
 import datetime
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -88,14 +89,15 @@ class EnsembleForecast:
     obs: float | None = None
 
     def __post_init__(self):
+        # Float comparisons, not numpy calls: a dataset builds one case per
+        # row.  0 <= v < inf is false for NaN, negatives and infinities
         members = tuple(float(v) for v in self.members)
-        arr = np.asarray(members)
-        if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        if not members or not all(0.0 <= v < math.inf for v in members):
             raise InvalidParameterError("members must be finite, nonnegative, nonempty")
         object.__setattr__(self, "members", members)
         if self.obs is not None:
             obs = float(self.obs)
-            if not np.isfinite(obs) or obs < 0.0:
+            if not 0.0 <= obs < math.inf:
                 raise InvalidParameterError("observation must be finite and >= 0")
             object.__setattr__(self, "obs", obs)
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .distributions import (
     GEV,
@@ -224,19 +224,35 @@ def _crps_tn_terms(mu, sigma, x):
 
 
 def _crps_tn_grad(mu, sigma, x):
-    """TN CRPS and its partial derivatives in mu and sigma (unvalidated).
+    """TN CRPS with its first and second partials in mu and sigma (unvalidated).
 
-    With A = CRPS/sigma, z = (x - mu)/sigma, r = mu/sigma and the same
-    log-domain ratios as the CRPS, A_z = 1 - 2 Phi(-z)/Phi(r) and
-    A_r = 2 lam (z Phi(-z)/Phi(r) - phi(z)/Phi(r) + Phi(sqrt2 r)/(sqrt(pi)
-    Phi(r)^2) - lam), lam = phi(r)/Phi(r); then dCRPS/dmu = A_r - A_z and
-    dCRPS/dsigma = A - z A_z - r A_r.
+    With A = CRPS/sigma, z = (x - mu)/sigma, r = mu/sigma, the same
+    log-domain ratios U = Phi(-z)/Phi(r), D = phi(z)/Phi(r) and
+    P = Phi(sqrt2 r)/Phi(r)^2 as the CRPS, and lam = phi(r)/Phi(r):
+    A_z = 1 - 2U, A_r = 2 lam q with q = z U - D + P/sqrt(pi) - lam,
+    A_zz = 2D, A_zr = 2 lam U and A_rr = 2 lam ((r + 2 lam)(lam - q)
+    - lam P/sqrt(pi)).  Then dCRPS/dmu = A_r - A_z, dCRPS/dsigma =
+    A - z A_z - r A_r, and sigma times the second partials is
+    A_zz - 2 A_zr + A_rr (mu mu), z (A_zz - A_zr) + r (A_zr - A_rr)
+    (mu sigma) and z^2 A_zz + 2 z r A_zr + r^2 A_rr (sigma sigma).
+    Returns the CRPS, (d_mu, d_sigma) and (h_mu_mu, h_mu_sigma, h_sigma_sigma).
     """
     a, r, z, log_nc, upper_ratio, dens_ratio, pair_ratio = _crps_tn_terms(mu, sigma, x)
     lam = np.exp(log_norm_pdf(r) - log_nc)
+    pair = pair_ratio / _SQRT_PI
+    q = z * upper_ratio - dens_ratio + pair - lam
     a_z = 1.0 - 2.0 * upper_ratio
-    a_r = 2.0 * lam * (z * upper_ratio - dens_ratio + pair_ratio / _SQRT_PI - lam)
-    return sigma * a, a_r - a_z, a - z * a_z - r * a_r
+    a_r = 2.0 * lam * q
+    a_zz = 2.0 * dens_ratio
+    a_zr = 2.0 * lam * upper_ratio
+    a_rr = 2.0 * lam * ((r + 2.0 * lam) * (lam - q) - lam * pair)
+    grad = (a_r - a_z, a - z * a_z - r * a_r)
+    hess = (
+        (a_zz - 2.0 * a_zr + a_rr) / sigma,
+        (z * (a_zz - a_zr) + r * (a_zr - a_rr)) / sigma,
+        (z * z * a_zz + 2.0 * z * r * a_zr + r * r * a_rr) / sigma,
+    )
+    return sigma * a, grad, hess
 
 
 def crps_tn(d, x):
@@ -261,16 +277,30 @@ def _crps_ln_terms(mu, sigma, x):
 
 
 def _crps_ln_grad(mu, sigma, x):
-    """LN CRPS and its partial derivatives in mu and sigma (unvalidated).
+    """LN CRPS with its first and second partials in mu and sigma (unvalidated).
 
-    dCRPS/dmu = -2 M B and dCRPS/dsigma = sigma dCRPS/dmu + 2 x phi(w)
-    - sqrt2 M phi(sigma/sqrt2); the x phi(w) terms of dCRPS/dmu cancel
-    because M phi(w - sigma) = x phi(w).
+    With E = x phi(w) = M phi(w - sigma) and K = sqrt2 M phi(sigma/sqrt2):
+    dCRPS/dmu = -2 M B and dCRPS/dsigma = sigma dCRPS/dmu + 2E - K (the
+    E terms of dCRPS/dmu cancel).  Since dE/dmu = E w/sigma and dE/dsigma
+    = E w^2/sigma, the second partials are dCRPS/dmu + 2E/sigma (mu mu),
+    dCRPS/dsigma + 2 E w/sigma (mu sigma) and dCRPS/dmu + sigma times the
+    mixed one + 2 E w^2/sigma - sigma K/2 (sigma sigma).  Returns the CRPS,
+    (d_mu, d_sigma) and (h_mu_mu, h_mu_sigma, h_sigma_sigma).
     """
     crps, w, mean, b = _crps_ln_terms(mu, sigma, x)
+    # w is -inf at x = 0, where E and its products with w are 0
+    w = np.where(x > 0.0, w, 0.0)
+    e = x * norm_pdf(w)
+    k = _SQRT2 * mean * norm_pdf(sigma / _SQRT2)
     d_mu = -2.0 * mean * b
-    d_sigma = sigma * d_mu + 2.0 * x * norm_pdf(w) - _SQRT2 * mean * norm_pdf(sigma / _SQRT2)
-    return crps, d_mu, d_sigma
+    d_sigma = sigma * d_mu + 2.0 * e - k
+    h_ms = d_sigma + 2.0 * e * w / sigma
+    hess = (
+        d_mu + 2.0 * e / sigma,
+        h_ms,
+        d_mu + sigma * h_ms + 2.0 * e * w * w / sigma - 0.5 * sigma * k,
+    )
+    return crps, (d_mu, d_sigma), hess
 
 
 def crps_ln(d, x):
@@ -433,6 +463,8 @@ def _callable_quantile(cdf, p, anchor):
 
 def _quad_segments(cdf, x, r=None):
     """Integrate (F(y) - 1{y >= x})^2 over y >= r (r None means -inf)."""
+    from scipy import integrate  # only the oracle integrates, so only it loads scipy.integrate
+
     x = float(x)
     q_lo = _callable_quantile(cdf, _TAIL_PROB, x)
     q_hi = _callable_quantile(cdf, 1.0 - _TAIL_PROB, x)

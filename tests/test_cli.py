@@ -141,6 +141,7 @@ def test_calibrate_reports_fit_counters(tmp_path):
     assert calibration["n_fits_nonconverged"] == sum(not f.converged for f in fits)
     assert calibration["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
     assert calibration["n_optimizer_evals"] == sum(f.n_evals for f in fits) > 0
+    assert calibration["n_newton_fallbacks"] == sum(f.newton_fallback for f in fits)
 
 
 @pytest.mark.parametrize("strategy", ["split", "shared"])
@@ -174,6 +175,7 @@ def test_grid_search_reports_fit_counters(tmp_path, strategy):
         assert got["n_fits_nonconverged"] == sum(not f.converged for f in fits)
         assert got["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
         assert got["n_optimizer_evals"] == sum(f.n_evals for f in fits)
+        assert got["n_newton_fallbacks"] == sum(f.newton_fallback for f in fits)
         assert got["n_split_fallbacks"] == sum(calib.n_split_fallbacks for calib in calibs)
     if strategy == "split":
         assert counts["selection"]["n_split_fallbacks"] > 0
@@ -346,6 +348,17 @@ def test_module_entrypoint_and_log_level(tmp_path):
     )
     assert proc.returncode == 1
     assert "ERROR" in proc.stderr
+
+
+def test_importing_the_cli_loads_neither_the_optimizers_nor_the_integrators():
+    # scipy.optimize loads on the first L-BFGS-B run (GEV fits, Newton
+    # fallbacks) and scipy.integrate only for the quadrature oracle
+    code = (
+        "import sys, windemos.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_reports_count_dropped_rows(tmp_path):

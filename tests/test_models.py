@@ -79,6 +79,20 @@ def test_forecast_case_validation():
     assert _case([1.0, 2.0]).obs is None
 
 
+@pytest.mark.parametrize("where", ["member", "obs"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5, -0.0])
+def test_forecast_case_rejects_nonfinite_and_negative_values(where, value):
+    # -0.0 compares equal to 0 and is accepted; the others are refused
+    members, obs = ([1.0, value], 2.0) if where == "member" else ([1.0, 2.0], value)
+    if value == 0.0:
+        case = _case(members, obs=obs)
+        assert (case.members if where == "member" else (case.obs,))[-1] == 0.0
+        return
+    what = "members" if where == "member" else "observation"
+    with pytest.raises(InvalidParameterError, match=what):
+        _case(members, obs=obs)
+
+
 def test_ensemble_stats_hand_values():
     stats = ensemble_stats(_case([1.0, 2.0, 4.0, 9.0]))
     assert stats.mean == 4.0

@@ -37,6 +37,7 @@ from windemos import (
     twcrps_values,
     twcrpss,
 )
+from windemos.scoring import _crps_ln_grad, _crps_tn_grad
 
 
 @pytest.mark.parametrize(
@@ -96,6 +97,36 @@ def test_crps_tn_deep_truncation_is_stable(mu):
         val = crps_tn(d, x)
         assert math.isfinite(val) and val >= 0.0
         assert val == pytest.approx(crps_numeric(d.cdf, x), abs=2e-8)
+
+
+@pytest.mark.parametrize(
+    "kernel,mu,sigma,x",
+    [
+        (_crps_tn_grad, 2.0, 1.5, 3.0),
+        (_crps_tn_grad, 5.0, 2.0, 0.0),
+        (_crps_tn_grad, 0.3, 0.05, 0.31),
+        (_crps_tn_grad, -8.0, 1.0, 0.5),  # deep truncation, mu/sigma = -8
+        (_crps_tn_grad, -4.0, 0.5, 0.02),
+        (_crps_ln_grad, 1.0, 0.5, 3.0),
+        (_crps_ln_grad, 0.2, 0.01, 1.3),
+        (_crps_ln_grad, -1.0, 2.0, 0.0),
+        (_crps_ln_grad, 2.0, 0.3, 1e-3),
+    ],
+)
+def test_crps_second_partials_match_differences_of_the_gradient(kernel, mu, sigma, x):
+    # Central differences of the exact (d_mu, d_sigma), steps relative to
+    # mu and sigma and wide enough for the gradient's roundoff under deep
+    # truncation; h_mu_sigma is checked in both columns
+    args = (np.array([mu]), np.array([sigma]), np.array([x]))
+    _, _, (h_mm, h_ms, h_ss) = kernel(*args)
+    cols = []
+    for k, h in ((0, 1e-4 * max(1.0, abs(mu))), (1, 1e-4 * sigma)):
+        up, down = [list(args) for _ in range(2)]
+        up[k], down[k] = args[k] + h, args[k] - h
+        cols.append((np.array(kernel(*up)[1]) - np.array(kernel(*down)[1]))[:, 0] / (2.0 * h))
+    want = np.array(cols).T
+    got = np.array([[h_mm[0], h_ms[0]], [h_ms[0], h_ss[0]]])
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.max(np.abs(want)))
 
 
 def test_crps_tn_far_from_truncation_matches_gaussian():
