@@ -89,8 +89,8 @@ def read_dataset(path, groups_path=None):
                 raise DataFormatError(
                     f"expected {3 + M} fields, got {len(row)}", line=lineno
                 )
-            fields = [f.strip() for f in row]
-            if fields[2] == "" or any(f == "" for f in fields[3:]):
+            fields = list(map(str.strip, row))
+            if "" in fields[2:]:
                 dropped += 1
                 continue
             try:
@@ -105,16 +105,11 @@ def read_dataset(path, groups_path=None):
                     line=lineno,
                 )
             first_line[key] = lineno
+            # EnsembleForecast converts each field string once; a bad number
+            # or a bad value fails with the line it is on
             try:
-                obs = float(fields[2])
-                members = tuple(float(f) for f in fields[3:])
-            except ValueError as exc:
-                raise DataFormatError(str(exc), line=lineno) from None
-            try:
-                dataset.append(
-                    EnsembleForecast(date=date, station=fields[1], members=members, obs=obs)
-                )
-            except InvalidParameterError as exc:
+                dataset.append(EnsembleForecast(date, fields[1], fields[3:], obs=fields[2]))
+            except (ValueError, InvalidParameterError) as exc:
                 raise DataFormatError(str(exc), line=lineno) from None
     if dropped:
         logger.info("dropped %d rows with missing observation or members", dropped)

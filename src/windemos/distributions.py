@@ -45,15 +45,21 @@ def log_norm_pdf(z):
 
 
 def _validate_positive(value, name):
+    # One value, as in the law of one forecast case, is checked by float
+    # comparison, not by numpy calls; 0 < v < inf is false for NaN
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)) or not np.all(arr > 0.0):
+    if arr.ndim == 0:
+        ok = 0.0 < float(arr) < math.inf
+    else:
+        ok = ((arr > 0.0) & (arr < np.inf)).all()
+    if not ok:
         raise InvalidParameterError(f"{name} must be finite and > 0")
     return arr
 
 
 def _validate_finite(value, name):
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
         raise InvalidParameterError(f"{name} must be finite")
     return arr
 

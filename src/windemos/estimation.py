@@ -30,6 +30,7 @@ evaluates (training length, threshold) cells on a shared selection-day
 set aligned to the longest window, all on one table.
 """
 
+import bisect
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
@@ -49,6 +50,7 @@ from .models import (
     GevParams,
     LnParams,
     TnParams,
+    member_stats,
     predictive_law,
 )
 from .scoring import Empirical, ForecastBatch, _crps_ln_grad, _crps_tn_grad, crps_values
@@ -193,13 +195,8 @@ class CaseRows:
         else:
             members = np.empty((0, g.total))
         obs = np.array([np.nan if c.obs is None else c.obs for c in cases], dtype=float)
-        return cls(
-            obs,
-            g.group_sums(members),
-            np.var(members, axis=1, ddof=1),
-            np.mean(members, axis=1),
-            np.median(members, axis=1),
-        )
+        fbar, s2, median = member_stats(members)
+        return cls(obs, g.group_sums(members), s2, fbar, median)
 
     def __len__(self):
         return self.obs.size
@@ -842,14 +839,28 @@ def climatology_forecast(window, station):
 def rolling_climatology(dataset, n, days=None):
     """Per-day climatological forecasts over the same rolling windows."""
     table = _as_table(dataset)
+    # Each station's observations, grouped once, in day order with the
+    # numbers of their days: the window of day i is one slice of them
+    number = {day: i for i, day in enumerate(table.dates)}
+    series = {}
+    for c in table.cases:
+        if c.obs is not None:
+            numbers, obs = series.setdefault(c.station, ([], []))
+            numbers.append(number[c.date])
+            obs.append(c.obs)
     pairs, skipped = [], []
-    for _, window, target in _windows(table, n, days, skipped):
-        # Group the window's observations by station once per day
-        by_station = _obs_by_station(table.cases[window])
+    for day, window, target in _windows(table, n, days, skipped):
+        i = number[day]
         per_station = {}
         for case in table.cases[target]:
             if case.station not in per_station:
-                per_station[case.station] = _climatology(by_station, case.station)
+                numbers, obs = series.get(case.station, ((), ()))
+                own = obs[bisect.bisect_left(numbers, i - n) : bisect.bisect_left(numbers, i)]
+                if own:
+                    law = Empirical(own)
+                else:  # none in the window: pool every station's
+                    law = _climatology(_obs_by_station(table.cases[window]), case.station)
+                per_station[case.station] = law
             pairs.append((case, per_station[case.station]))
     return pairs, skipped
 

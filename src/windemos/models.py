@@ -16,12 +16,17 @@ is below a threshold theta and the high-wind link (LN or GEV) otherwise.
 `predictive_law` builds the law of any family's coefficients, from one
 case's statistics (`predict_*`) or from columns of cases (the batched
 prediction of a rolling calibration).  A floored link warns.
+
+`member_stats` gives the statistics of one ensemble and of a table of
+them.  A `predict_*` call costs its few small array operations; many
+cases are far cheaper as columns (README, "Per case or per batch").
 """
 
 import datetime
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,10 +64,12 @@ class GroupSpec:
         """Total member count M."""
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self):
         """Start index of each group in the member vector."""
-        return np.concatenate([[0], np.cumsum(self.sizes[:-1])]).astype(int)
+        offsets = np.concatenate([[0], np.cumsum(self.sizes[:-1])]).astype(int)
+        offsets.flags.writeable = False
+        return offsets
 
     @classmethod
     def singletons(cls, M):
@@ -89,14 +96,16 @@ class EnsembleForecast:
     obs: float | None = None
 
     def __post_init__(self):
-        # Float comparisons, not numpy calls: a dataset builds one case per
-        # row.  0 <= v < inf is false for NaN, negatives and infinities
-        members = tuple(float(v) for v in self.members)
+        # Each value, a number or a field string of a dataset row, is
+        # converted once.  Float comparisons, not numpy calls: a dataset
+        # builds one case per row.  0 <= v < inf is false for NaN,
+        # negatives and infinities
+        obs = None if self.obs is None else float(self.obs)
+        members = tuple(map(float, self.members))
         if not members or not all(0.0 <= v < math.inf for v in members):
             raise InvalidParameterError("members must be finite, nonnegative, nonempty")
         object.__setattr__(self, "members", members)
-        if self.obs is not None:
-            obs = float(self.obs)
+        if obs is not None:
             if not 0.0 <= obs < math.inf:
                 raise InvalidParameterError("observation must be finite and >= 0")
             object.__setattr__(self, "obs", obs)
@@ -109,17 +118,32 @@ class EnsembleStats:
     median: float
 
 
+def member_stats(x):
+    """Mean, unbiased variance and median along the last axis of x.
+
+    The arithmetic of np.mean, np.var(ddof=1) and np.median, bit for bit,
+    without their wrappers: one ensemble (shape (M,)) costs what its
+    reductions cost, and a matrix of ensembles (one per row) gives the
+    same values row by row.
+    """
+    M = x.shape[-1]
+    mean = np.add.reduce(x, -1, keepdims=True) / M
+    d = x - mean
+    variance = np.add.reduce(d * d, -1) / (M - 1)
+    s = np.sort(x, -1)
+    lo = s[..., (M - 1) // 2]
+    median = (lo + s[..., M // 2]) / 2.0 if M % 2 == 0 else lo
+    return mean[..., 0], variance, median
+
+
 def ensemble_stats(forecast):
     """Mean, unbiased variance, and median of the members."""
     members = forecast.members if isinstance(forecast, EnsembleForecast) else forecast
-    arr = np.asarray(members, dtype=float)
+    arr = np.asarray(members, dtype=float).ravel()
     if arr.size < 2:
         raise InsufficientDataError("unbiased ensemble variance needs at least 2 members")
-    return EnsembleStats(
-        mean=float(np.mean(arr)),
-        variance=float(np.var(arr, ddof=1)),
-        median=float(np.median(arr)),
-    )
+    mean, variance, median = member_stats(arr)
+    return EnsembleStats(mean=float(mean), variance=float(variance), median=float(median))
 
 
 def _check_weights(weights, name, nonnegative):
@@ -223,7 +247,7 @@ def _group_weight_sum(intercept, weights, group_sums, m):
 
 
 def _warn_floor(engaged, what):
-    if np.any(engaged):
+    if engaged.any():
         warnings.warn(f"predictive {what} hit its lower floor", DegenerateScaleWarning, stacklevel=3)
 
 

@@ -80,7 +80,7 @@ class Empirical:
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             raise InvalidInputError("empirical distribution needs at least one value")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InvalidInputError("empirical values must be finite")
         self.values = np.sort(values)
 
@@ -206,7 +206,12 @@ def _sample_quantile(v, p):
 
 def _check_obs(x):
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or not np.all(x >= 0.0):
+    # One float comparison for one observation; 0 <= x < inf is false for NaN
+    if x.ndim == 0:
+        ok = 0.0 <= float(x) < math.inf
+    else:
+        ok = ((x >= 0.0) & (x < np.inf)).all()
+    if not ok:
         raise InvalidInputError("observation must be finite and >= 0")
     return x
 

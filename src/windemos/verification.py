@@ -230,14 +230,36 @@ def _parametric_columns(batch, obs, alpha):
     return columns
 
 
+def _empirical_columns(batch, obs, alpha):
+    """Sample size, members below and tied with the obs, median, mean,
+    interval ends and neg mass, part by part (one per sample size).
+    """
+    columns = np.empty((8, len(batch)))
+    for rows, samples in batch.parts:
+        x = obs[rows, None]
+        columns[:, rows] = (
+            np.full(rows.size, samples.shape[1]),
+            np.sum(samples < x, axis=1),
+            np.sum(samples == x, axis=1),
+            np.median(samples, axis=1),
+            np.mean(samples, axis=1),
+            _sample_quantile(samples, alpha / 2.0),
+            _sample_quantile(samples, 1.0 - alpha / 2.0),
+            np.mean(samples < 0.0, axis=1),
+        )
+    return columns
+
+
 def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=None, model=None):
     """Assemble the full verification report for one forecast stream.
 
     `forecasts` is a ForecastBatch or a list with one predictive law per
     case: either parametric distributions (TN/LN/GEV, possibly mixed via
     regime switching) or Empirical forecasts (raw ensemble, climatology)
-    - not a mixture of the two kinds.  `alpha` defaults to 2/(M+1),
-    matching the nominal coverage of the raw M-member ensemble.
+    - not a mixture of the two kinds.  Empirical laws of several sample
+    sizes share one rank histogram with a class per rank of the largest.
+    `alpha` defaults to 2/(M+1), matching the nominal coverage of the raw
+    M-member ensemble.
     """
     forecasts = ForecastBatch.of(forecasts)
     if len(cases) == 0 or len(forecasts) != len(cases):
@@ -270,21 +292,20 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     }
 
     if is_empirical:
-        if len(forecasts.parts) != 1:
-            raise InvalidInputError("empirical forecasts must share one sample size")
-        # Every column comes from the matrix of sorted members, one row per
-        # case in case order, the order the seeded tie-breaks are drawn in
-        [(rows, samples)] = forecasts.parts
-        values = np.empty_like(samples)
-        values[rows] = samples
-        class_count = values.shape[1] + 1
-        ranks = ranks_of_obs(values, obs, np.random.default_rng(seed))
-        counts = RankHistogram.from_ranks(ranks, class_count).counts
-        lo = _sample_quantile(values, alpha / 2.0)
-        hi = _sample_quantile(values, 1.0 - alpha / 2.0)
-        med = np.median(values, axis=1)
-        mean = np.mean(values, axis=1)
-        neg = np.mean(values < 0.0, axis=1)
+        size, less, ties, med, mean, lo, hi, neg = _empirical_columns(forecasts, obs, alpha)
+        # The seeded tie-breaks are drawn in case order
+        rng = np.random.default_rng(seed)
+        ranks = (less + 1 + rng.integers(0, ties.astype(int) + 1)).astype(int)
+        size = size.astype(int)
+        class_count = int(size.max()) + 1
+        if (size == size[0]).all():
+            counts = RankHistogram.from_ranks(ranks, class_count).counts
+        else:
+            # Ranks out of different sample sizes n are binned through the
+            # randomized PIT (rank - U)/(n + 1), U uniform on (0, 1]: with
+            # one sample size its bins are the ranks themselves
+            pits = (ranks - 1.0 + rng.random(ranks.size)) / (size + 1.0)
+            counts = tuple(int(v) for v in pit_histogram(pits, class_count)[0])
         mean_log, n_inf, mean_pit, ks, tie_seed = None, 0, None, (None, None), int(seed)
     else:
         class_count = M + 1 if bins is None else int(bins)

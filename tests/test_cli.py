@@ -211,6 +211,24 @@ def test_verify_baselines(tmp_path, model, hist_classes):
     assert sum(counts) == 60
 
 
+def test_verify_climatology_with_a_missing_row(tmp_path):
+    # One station misses one day, so its climatology on the next days is
+    # one value shorter than the other stations'
+    data = _simulate(tmp_path, days=40, seed=1)
+    lines = data.read_text().splitlines(keepends=True)
+    data.write_text("".join(lines[:19] + lines[20:]))
+    # A climatology holds at most 10 values, the raw ensemble 8 members
+    for model, classes in (("climatology", 11), ("raw", 9)):
+        out = tmp_path / model
+        argv = ["verify", str(data), "--model", model, "--train-days", "10"]
+        assert main(argv + ["--output-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        # The missing row lies in the first training window
+        assert report["n_cases"] == 90
+        assert sum(report["histogram_counts"]) == 90
+        assert report["class_count"] == classes
+
+
 def test_verify_is_deterministic_with_ties(tmp_path):
     data = _simulate(tmp_path)
     outs = []

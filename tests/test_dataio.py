@@ -96,6 +96,13 @@ def test_custom_groups_path(tmp_path):
         ("2024-02-10,A,-1.0,1.0,2.0\n", 2),  # negative obs
         ("2024-02-10,A,2.0,-1.0,2.0\n", 2),  # negative member
         ("2024-02-10,A,2.0,1.0,2.0\n2024-02-11,B,inf,1.0,2.0\n", 3),
+        # Each field is converted once, by EnsembleForecast: values that
+        # parse as floats but are not finite still fail on their line
+        ("2024-02-10,A,nan,1.0,2.0\n", 2),  # nan obs
+        ("2024-02-10,A,2.0,1.0,2.0\n2024-02-11,B,NaN,1.0,2.0\n", 3),  # NaN obs
+        ("2024-02-10,A,2.0,1.0,inf\n", 2),  # inf member
+        ("2024-02-10,A,2.0,1.0,2.0\n2024-02-11,B,2.0,1e400,2.0\n", 3),  # overflows to inf
+        ("2024-02-10,A,1e400,1.0,2.0\n", 2),  # obs overflows to inf
     ],
 )
 def test_malformed_rows_carry_line_numbers(tmp_path, body, line):

@@ -18,6 +18,7 @@ from windemos import (
     TruncatedNormal,
     build_report,
     central_interval,
+    crps_values,
     ensemble_coverage,
     ks_uniform_test,
     nominal_coverage,
@@ -318,9 +319,39 @@ def test_an_empirical_batch_reports_in_case_order_with_seeded_tie_breaks():
     assert report.to_dict() == build_report(cases, laws, seed=3).to_dict()
     ranks = ranks_of_obs(sorted_rows, obs, np.random.default_rng(3))
     assert report.histogram_counts == RankHistogram.from_ranks(ranks, 7).counts
-    # Empirical laws of two sample sizes are scored, but share no report
-    two_sizes = laws[:-1] + [Empirical(members_rows[-1][:4])]
-    with pytest.raises(InvalidInputError):
-        build_report(cases, two_sizes)
-    with pytest.raises(InvalidInputError):
-        build_report(cases, ForecastBatch.of(two_sizes))
+
+
+def test_empirical_laws_of_two_sample_sizes_bin_their_randomized_pits():
+    # Every third case has 4 members, the rest 6; ties force tie-breaks
+    n = 30
+    rng = np.random.default_rng(14)
+    members_rows = np.round(rng.uniform(1.0, 4.0, size=(n, 6)))
+    obs = np.round(rng.uniform(1.0, 4.0, size=n))
+    cases = _cases(members_rows, obs)
+    samples = [row[:4] if i % 3 == 0 else row for i, row in enumerate(members_rows)]
+    report = build_report(cases, [Empirical(v) for v in samples], seed=3)
+    assert report.kind == "empirical" and report.histogram_kind == "rank"
+    assert report.class_count == 7
+    # Ties are broken in case order, then U = 1 - v is drawn per case: a
+    # rank r out of n members has its PIT in [(r - 1)/(n + 1), r/(n + 1))
+    less = np.array([np.sum(v < y) for v, y in zip(samples, obs)])
+    ties = np.array([np.sum(v == y) for v, y in zip(samples, obs)])
+    sizes = np.array([v.size for v in samples])
+    draws = np.random.default_rng(3)
+    ranks = less + 1 + draws.integers(0, ties + 1)
+    pits = (ranks - 1.0 + draws.random(n)) / (sizes + 1.0)
+    assert report.histogram_counts == tuple(np.bincount((pits * 7).astype(int), minlength=7))
+    assert report.scores.mean_crps == np.mean(crps_values([Empirical(v) for v in samples], obs))
+
+
+def test_randomized_pits_of_exchangeable_ensembles_of_two_sizes_are_uniform():
+    # Members and observation drawn from one law: with 3 or 8 members the
+    # binned randomized PITs are uniform over the 9 classes of the larger
+    n = 9000
+    rng = np.random.default_rng(15)
+    draws = rng.gamma(2.0, 2.0, size=(n, 9))
+    samples = [row[1:4] if i % 2 else row[1:] for i, row in enumerate(draws)]
+    cases = _cases(draws[:, 1:], draws[:, 0])
+    report = build_report(cases, [Empirical(v) for v in samples], seed=0)
+    assert report.class_count == 9
+    assert max(abs(c - n / 9) for c in report.histogram_counts) < 4.0 * np.sqrt(n / 9)
