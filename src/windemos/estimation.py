@@ -190,6 +190,8 @@ class CaseRows:
 
     @classmethod
     def of(cls, cases, g):
+        if g.total < 2:
+            raise InsufficientDataError("unbiased ensemble variance needs at least 2 members")
         if cases:
             members = np.array([c.members for c in cases], dtype=float)
         else:
@@ -809,33 +811,6 @@ def rolling_calibrate(model, g, dataset, n, days=None):
     return result
 
 
-def _obs_by_station(cases):
-    by_station = {}
-    for c in cases:
-        if c.obs is not None:
-            by_station.setdefault(c.station, []).append(c.obs)
-    if not by_station:
-        raise InvalidInputError("climatology window has no observations")
-    return by_station
-
-
-def _climatology(by_station, station):
-    # The station's own observations, else every station's
-    own = by_station.get(station)
-    return Empirical(own if own else [o for obs in by_station.values() for o in obs])
-
-
-def climatology_forecast(window, station):
-    """Training-window observations as an empirical forecast.
-
-    Uses the station's own observations, pooling every station's only
-    when the target station has none in the window.
-    """
-    if len(window.cases) == 0:
-        raise InvalidInputError("climatology needs a nonempty window")
-    return _climatology(_obs_by_station(window.cases), station)
-
-
 def rolling_climatology(dataset, n, days=None):
     """Per-day climatological forecasts over the same rolling windows."""
     table = _as_table(dataset)
@@ -856,11 +831,11 @@ def rolling_climatology(dataset, n, days=None):
             if case.station not in per_station:
                 numbers, obs = series.get(case.station, ((), ()))
                 own = obs[bisect.bisect_left(numbers, i - n) : bisect.bisect_left(numbers, i)]
-                if own:
-                    law = Empirical(own)
-                else:  # none in the window: pool every station's
-                    law = _climatology(_obs_by_station(table.cases[window]), case.station)
-                per_station[case.station] = law
+                if not own:  # none in the window: pool every station's
+                    own = [c.obs for c in table.cases[window] if c.obs is not None]
+                    if not own:
+                        raise InvalidInputError("climatology window has no observations")
+                per_station[case.station] = Empirical(own)
             pairs.append((case, per_station[case.station]))
     return pairs, skipped
 

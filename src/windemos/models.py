@@ -226,15 +226,12 @@ class RegimeSwitchConfig:
     theta: float
     low_params: TnParams = None
     high_params: object = None  # LnParams or GevParams
-    training_strategy: str = "split"
 
     def __post_init__(self):
         theta = float(self.theta)
         if np.isnan(theta) or theta < 0.0:
             raise InvalidParameterError("theta must be >= 0 (inf allowed)")
         object.__setattr__(self, "theta", theta)
-        if self.training_strategy not in ("split", "shared"):
-            raise InvalidParameterError("training_strategy must be 'split' or 'shared'")
 
 
 def _group_weight_sum(intercept, weights, group_sums, m):

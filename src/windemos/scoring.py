@@ -1,10 +1,11 @@
 """Proper scoring rules for wind speed forecasts.
 
-A set of forecasts is a `ForecastBatch`: one array-parameter law per
-predictive family, with the rows of the cases it covers, so the mixed
-TN / LN / GEV sets of a regime-switching model are scored without
-per-case objects.  A list of scalar laws is read into a batch by
-`ForecastBatch.of`, the one place such a list is taken apart.
+A set of forecasts is a `ForecastBatch`: one array law per predictive
+family (and per sample size of `Empirical` laws), with the rows of the
+cases it covers, so the mixed TN / LN / GEV sets of a regime-switching
+model and the raw-ensemble and climatological forecasts are scored
+without per-case objects.  A list of scalar laws is read into a batch
+by `ForecastBatch.of`, the one place such a list is taken apart.
 
 Every production score is a closed form evaluated on one family part
 at a time: the CRPS of truncated normal, log-normal and GEV forecasts,
@@ -59,68 +60,83 @@ _GUMBEL_SERIES_FROM = 1.0
 # Coefficients (-1)^k (2^k - 2)/(k k!), k = 2..24, of that series in e^-z
 _GUMBEL_SERIES = tuple((-1) ** k * (2**k - 2) / (k * math.factorial(k)) for k in range(2, 25))
 
-# The parameters of each parametric family, in constructor order
-_PARAMS = {
-    TruncatedNormal: ("mu", "sigma"),
-    LogNormal: ("mu", "sigma"),
-    GEV: ("mu", "sigma", "xi"),
-    MeanVariance: ("m", "v"),
-}
-
-
 class Empirical:
-    """Empirical distribution carried by a finite sample.
+    """Empirical laws carried by finite samples.
 
-    Used for raw-ensemble and climatological forecasts.  Quantiles
-    interpolate the Weibull plotting positions k/(n+1), so the nominal
-    central interval with alpha = 2/(n+1) is exactly the sample range.
+    Used for raw-ensemble and climatological forecasts.  `values` holds
+    one sorted sample, or a matrix with one sorted sample per row (one
+    law per row, as the array parameters of the parametric families),
+    and every method works along the last axis.  Quantiles interpolate
+    the Weibull plotting positions k/(n+1), so the nominal central
+    interval with alpha = 2/(n+1) is exactly the sample range.
     """
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
+        values = np.asarray(values, dtype=float)
+        values = values if values.ndim > 1 else values.ravel()
+        if values.shape[-1] == 0:
             raise InvalidInputError("empirical distribution needs at least one value")
         if not np.isfinite(values).all():
             raise InvalidInputError("empirical values must be finite")
-        self.values = np.sort(values)
+        self.values = np.sort(values, axis=-1)
 
     @property
     def n(self):
-        return self.values.size
+        return self.values.shape[-1]
 
     def cdf(self, x):
+        # The count of values <= x, as searchsorted(side="right") gives it
         x = np.asarray(x, dtype=float)
-        return np.searchsorted(self.values, x, side="right") / self.n
+        return np.sum(self.values <= x[..., None], axis=-1) / self.n
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
             raise InvalidInputError("probability level must lie strictly in (0, 1)")
-        return _sample_quantile(self.values, p)
+        n = self.n
+        h = np.clip(p * (n + 1.0) - 1.0, 0.0, n - 1.0)  # 0-based Weibull position
+        lo = np.floor(h).astype(int)
+        hi = np.minimum(lo + 1, n - 1)
+        frac = h - lo
+        return (1.0 - frac) * self.values[..., lo] + frac * self.values[..., hi]
 
     def mean(self):
-        return float(np.mean(self.values))
+        return np.mean(self.values, axis=-1)
 
     def median(self):
-        return float(np.median(self.values))
+        return np.median(self.values, axis=-1)
 
     def sample(self, rng, size=None):
-        return rng.choice(self.values, size=size, replace=True)
+        """Draws with replacement: `size` from one sample, or one per row."""
+        if self.values.ndim == 1:
+            return rng.choice(self.values, size=size, replace=True)
+        k = rng.integers(0, self.n, size=self.values.shape[:-1] if size is None else size)
+        return np.take_along_axis(self.values, k[..., None], axis=-1)[..., 0]
 
     def neg_mass(self):
-        return float(np.mean(self.values < 0.0))
+        return np.mean(self.values < 0.0, axis=-1)
 
     def __repr__(self):
         return f"Empirical(n={self.n})"
+
+
+# The parameters of each family, in constructor order
+_PARAMS = {
+    TruncatedNormal: ("mu", "sigma"),
+    LogNormal: ("mu", "sigma"),
+    GEV: ("mu", "sigma", "xi"),
+    MeanVariance: ("m", "v"),
+    Empirical: ("values",),
+}
 
 
 class ForecastBatch:
     """One predictive law for each of n cases, batched by family.
 
     `parts` holds (rows, law) pairs that partition the cases 0..n-1:
-    `rows` an index array and `law` a TruncatedNormal, LogNormal or GEV
-    with 1-d parameters, one entry per row, or for empirical laws of one
-    sample size the matrix of their sorted samples, one row per case.
+    `rows` an index array and `law` an array law with one entry per row,
+    a TruncatedNormal, LogNormal or GEV with 1-d parameters or an
+    Empirical with one sample per row (one part per sample size).
     """
 
     def __init__(self, n, parts):
@@ -134,24 +150,22 @@ class ForecastBatch:
     def of(cls, laws):
         """A list of scalar laws as a batch (a batch is returned as it is).
 
-        One part per family, MeanVariance pairs as log-normal laws, and
-        empirical laws split by sample size.
+        One part per family and sample size, MeanVariance pairs as
+        log-normal laws.
         """
         if isinstance(laws, ForecastBatch):
             return laws
         groups = {}
         for i, d in enumerate(laws):
-            groups.setdefault((type(d), d.n if isinstance(d, Empirical) else None), []).append(i)
+            groups.setdefault((type(d), getattr(d, "n", None)), []).append(i)
         parts = []
-        for (kind, _), rows in groups.items():
-            members = [laws[i] for i in rows]
-            if kind is Empirical:
-                law = np.array([d.values for d in members])
-            elif kind in _PARAMS:
-                params = ([getattr(d, a) for d in members] for a in _PARAMS[kind])
-                law = kind(*(np.fromiter(p, float, len(rows)) for p in params))
-            else:
+        for (kind, n), rows in groups.items():
+            if kind not in _PARAMS:
                 raise InvalidInputError(f"unsupported predictive law {kind.__name__}")
+            members = [laws[i] for i in rows]
+            dtype = float if n is None else (float, n)
+            params = ((getattr(d, a) for d in members) for a in _PARAMS[kind])
+            law = kind(*(np.fromiter(p, dtype, len(rows)) for p in params))
             parts.append((rows, law.to_lognormal() if kind is MeanVariance else law))
         return cls(len(laws), parts)
 
@@ -161,47 +175,23 @@ class ForecastBatch:
         groups, n = {}, 0
         for batch in batches:
             for rows, law in batch.parts:
-                key = (type(law), law.shape[1] if isinstance(law, np.ndarray) else None)
-                groups.setdefault(key, []).append((rows + n, law))
+                groups.setdefault((type(law), getattr(law, "n", None)), []).append((rows + n, law))
             n += batch.n
         parts = []
         for (kind, _), items in groups.items():
             rows = np.concatenate([r for r, _ in items])
-            laws = [law for _, law in items]
-            if kind is np.ndarray:
-                parts.append((rows, np.concatenate(laws)))
-            else:
-                params = (np.concatenate([getattr(d, a) for d in laws]) for a in _PARAMS[kind])
-                parts.append((rows, kind(*params)))
+            params = (np.concatenate([getattr(d, a) for _, d in items]) for a in _PARAMS[kind])
+            parts.append((rows, kind(*params)))
         return cls(n, parts)
 
     def laws(self):
         """The scalar law of every case, in case order."""
         out = [None] * self.n
         for rows, law in self.parts:
-            if isinstance(law, np.ndarray):
-                cut = map(Empirical, law)
-            else:
-                params = zip(*(getattr(law, a) for a in _PARAMS[type(law)]))
-                cut = itertools.starmap(type(law), params)
-            for i, d in zip(rows.tolist(), cut):
+            params = zip(*(getattr(law, a) for a in _PARAMS[type(law)]))
+            for i, d in zip(rows.tolist(), itertools.starmap(type(law), params)):
                 out[i] = d
         return out
-
-
-def _sample_quantile(v, p):
-    """Quantile at level p of the sorted samples along the last axis of v.
-
-    Interpolates the Weibull plotting positions k/(n+1), as
-    `Empirical.quantile` does, for a whole matrix of samples at once.
-    """
-    n = v.shape[-1]
-    h = p * (n + 1.0) - 1.0  # 0-based Weibull position
-    h = np.clip(h, 0.0, n - 1.0)
-    lo = np.floor(h).astype(int)
-    hi = np.minimum(lo + 1, n - 1)
-    frac = h - lo
-    return (1.0 - frac) * v[..., lo] + frac * v[..., hi]
 
 
 def _check_obs(x):
@@ -677,10 +667,11 @@ def _score_batches(forecasts, obs, r):
     out = np.empty(len(batch))
     for rows, law in batch.parts:
         y = obs[rows]
-        if isinstance(law, np.ndarray):
-            if r is not None:
-                law, y = np.maximum(law, r), np.maximum(y, r)
-            out[rows] = _crps_ensemble(law, y)
+        if type(law) is Empirical:
+            v = law.values
+            if r is not None:  # the CRPS of the sample censored at r, observed at max(y, r)
+                v, y = np.maximum(v, r), np.maximum(y, r)
+            out[rows] = _crps_ensemble(v, y)
             continue
         crps, upper, floor = _CLOSED_FORMS[type(law)]
         if r is None:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .scoring import (
+    Empirical,
     ForecastBatch,
     ScoreSummary,
-    _sample_quantile,
     aggregate_log_scores,
     crps_values,
     log_score,
@@ -219,34 +219,23 @@ def _default_thresholds(obs):
     return tuple(float(v) for v in np.percentile(obs, [90.0, 95.0, 99.0]))
 
 
-def _parametric_columns(batch, obs, alpha):
-    """PIT, density, median, mean, interval ends and neg mass, part by part."""
-    columns = np.empty((7, len(batch)))
+def _columns(batch, obs, alpha):
+    """Median, mean, interval ends and neg mass of every case, then three
+    columns by kind: PIT, density and 0 for parametric laws; sample size,
+    members below the obs and members tied with it for empirical ones.
+    """
+    columns = np.empty((8, len(batch)))
     for rows, law in batch.parts:
         x = obs[rows]
         lo, hi = central_interval(law, alpha)
-        pits, dens = np.clip(law.cdf(x), 0.0, 1.0), law.pdf(x)
-        columns[:, rows] = (pits, dens, law.median(), law.mean(), lo, hi, law.neg_mass())
-    return columns
-
-
-def _empirical_columns(batch, obs, alpha):
-    """Sample size, members below and tied with the obs, median, mean,
-    interval ends and neg mass, part by part (one per sample size).
-    """
-    columns = np.empty((8, len(batch)))
-    for rows, samples in batch.parts:
-        x = obs[rows, None]
-        columns[:, rows] = (
-            np.full(rows.size, samples.shape[1]),
-            np.sum(samples < x, axis=1),
-            np.sum(samples == x, axis=1),
-            np.median(samples, axis=1),
-            np.mean(samples, axis=1),
-            _sample_quantile(samples, alpha / 2.0),
-            _sample_quantile(samples, 1.0 - alpha / 2.0),
-            np.mean(samples < 0.0, axis=1),
-        )
+        if type(law) is Empirical:
+            x = x[:, None]
+            kind = (law.n, np.sum(law.values < x, axis=-1), np.sum(law.values == x, axis=-1))
+        else:
+            kind = (np.clip(law.cdf(x), 0.0, 1.0), law.pdf(x), 0.0)
+        shared = (law.median(), law.mean(), lo, hi, law.neg_mass())
+        for column, values in zip(columns, shared + kind):
+            column[rows] = values
     return columns
 
 
@@ -256,10 +245,11 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     `forecasts` is a ForecastBatch or a list with one predictive law per
     case: either parametric distributions (TN/LN/GEV, possibly mixed via
     regime switching) or Empirical forecasts (raw ensemble, climatology)
-    - not a mixture of the two kinds.  Empirical laws of several sample
-    sizes share one rank histogram with a class per rank of the largest.
+    - not a mixture of the two kinds.  Every column is read off the laws
+    of the batch, part by part.  Empirical laws of several sample sizes
+    share one rank histogram with a class per rank of the largest.
     `alpha` defaults to 2/(M+1), matching the nominal coverage of the raw
-    M-member ensemble.
+    M-member ensemble; a 1-member ensemble has no default.
     """
     forecasts = ForecastBatch.of(forecasts)
     if len(cases) == 0 or len(forecasts) != len(cases):
@@ -271,12 +261,16 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     if any(len(c.members) != M for c in cases):
         raise InvalidInputError("verification cases must share one ensemble size")
 
-    empirical = {isinstance(law, np.ndarray) for _, law in forecasts.parts}
+    empirical = {type(law) is Empirical for _, law in forecasts.parts}
     if len(empirical) > 1:
         raise InvalidInputError("cannot mix empirical and parametric forecasts in one report")
     is_empirical = empirical == {True}
 
     if alpha is None:
+        if M < 2:
+            raise InvalidInputError(
+                "the default alpha 2/(M+1) is 1 for a 1-member ensemble; set alpha (--alpha)"
+            )
         alpha = 2.0 / (M + 1.0)
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -291,12 +285,12 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
         r: float(np.mean(twcrps_values(forecasts, obs, r))) for r in thresholds
     }
 
+    med, mean, lo, hi, neg, *kind = _columns(forecasts, obs, alpha)
     if is_empirical:
-        size, less, ties, med, mean, lo, hi, neg = _empirical_columns(forecasts, obs, alpha)
+        size, less, ties = (c.astype(int) for c in kind)
         # The seeded tie-breaks are drawn in case order
         rng = np.random.default_rng(seed)
-        ranks = (less + 1 + rng.integers(0, ties.astype(int) + 1)).astype(int)
-        size = size.astype(int)
+        ranks = less + 1 + rng.integers(0, ties + 1)
         class_count = int(size.max()) + 1
         if (size == size[0]).all():
             counts = RankHistogram.from_ranks(ranks, class_count).counts
@@ -309,7 +303,7 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
         mean_log, n_inf, mean_pit, ks, tie_seed = None, 0, None, (None, None), int(seed)
     else:
         class_count = M + 1 if bins is None else int(bins)
-        pits, dens, med, mean, lo, hi, neg = _parametric_columns(forecasts, obs, alpha)
+        pits, dens, _ = kind
         counts = tuple(int(v) for v in pit_histogram(pits, class_count)[0])
         mean_log, n_inf = aggregate_log_scores(log_score(dens))
         mean_pit, tie_seed = float(np.mean(pits)), None

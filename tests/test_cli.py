@@ -331,6 +331,39 @@ def test_exit_codes_for_input_problems(tmp_path):
     assert main(["calibrate", str(data), "--train-days", "500"]) == 1  # nothing eligible
 
 
+def _one_member_data(tmp_path):
+    # 14 days x 2 stations, one member each and no group sidecar
+    day0 = datetime.date(2024, 1, 1)
+    rows = [
+        f"{day0 + datetime.timedelta(days=d)},S{s},{3.0 + d % 5 + s},{2.5 + d % 4}"
+        for d in range(14)
+        for s in (1, 2)
+    ]
+    data = tmp_path / "one.csv"
+    data.write_text("date,station,obs,m1\n" + "\n".join(rows) + "\n")
+    return data
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["calibrate", "--train-days", "5"], 1, "needs at least 2 members"),
+        (["grid-search", "--train-days", "4..6:2"], 1, "needs at least 2 members"),
+        (["verify", "--train-days", "5"], 1, "--alpha"),
+        (["verify", "--train-days", "5", "--alpha", "0.5"], 0, None),
+    ],
+)
+def test_one_member_data_fails_up_front_naming_the_cause(tmp_path, caplog, argv, code, message):
+    data = _one_member_data(tmp_path)
+    out = tmp_path / "out"
+    assert main(argv[:1] + [str(data)] + argv[1:] + ["--output-dir", str(out)]) == code
+    if message is None:
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["n_cases"] == 18 and report["alpha"] == 0.5
+    else:
+        assert message in caplog.text
+
+
 def test_exit_code_for_numeric_failure(tmp_path, monkeypatch):
     data = _simulate(tmp_path)
 

@@ -26,7 +26,6 @@ from windemos import (
     TnParams,
     TrainingFallbackWarning,
     TrainingWindow,
-    climatology_forecast,
     crps_values,
     days_with_data,
     default_gev_params,
@@ -359,16 +358,24 @@ def test_rolling_calibrate_cold_start_matches_per_day_fit():
 
 
 def test_climatology_prefers_station_history():
+    # Station C has no observation in the window of the second day, so
+    # its climatology pools every station's
+    day2 = START + datetime.timedelta(days=1)
     cases = [
         EnsembleForecast(START, "A", (1.0, 2.0), obs=1.0),
         EnsembleForecast(START, "A", (1.0, 2.0), obs=2.0),
         EnsembleForecast(START, "B", (1.0, 2.0), obs=9.0),
+        EnsembleForecast(day2, "A", (1.0, 2.0), obs=3.0),
+        EnsembleForecast(day2, "C", (1.0, 2.0), obs=4.0),
     ]
-    window = TrainingWindow(1, tuple(cases))
-    own = climatology_forecast(window, "A")
-    np.testing.assert_allclose(own.values, [1.0, 2.0])
-    pooled = climatology_forecast(window, "C")
-    np.testing.assert_allclose(pooled.values, [1.0, 2.0, 9.0])
+    pairs, skipped = rolling_climatology(cases, 1)
+    assert [(c.station, c.date) for c, _ in pairs] == [("A", day2), ("C", day2)]
+    assert skipped == [(START, "only 0 prior days with data, need 1")]
+    np.testing.assert_array_equal(pairs[0][1].values, [1.0, 2.0])
+    np.testing.assert_array_equal(pairs[1][1].values, [1.0, 2.0, 9.0])
+    unobserved = [dataclasses.replace(c, obs=None) if c.date == START else c for c in cases]
+    with pytest.raises(InvalidInputError, match="no observations"):
+        rolling_climatology(unobserved, 1)
 
 
 def test_rolling_raw_with_zero_alignment_covers_all_days():

@@ -250,5 +250,3 @@ def test_switch_config_validation():
         RegimeSwitchConfig(theta=-0.5, low_params=TN_P, high_params=LN_P)
     with pytest.raises(InvalidParameterError):
         RegimeSwitchConfig(theta=math.nan, low_params=TN_P, high_params=LN_P)
-    with pytest.raises(InvalidParameterError):
-        RegimeSwitchConfig(theta=5.0, low_params=TN_P, high_params=LN_P, training_strategy="other")

@@ -4,9 +4,10 @@ Each property is an invariant the docstrings claim: scores carry the
 unit of the observation, twCRPS is a nonnegative integral that shrinks
 as the threshold rises and is the CRPS below the support, every
 closed-form quantile inverts its CDF, every closed-form mean is the mean
-of the law's draws, and the ensemble statistics are numpy's reductions
-bit for bit, for one case and for a table of cases.  Runs are
-derandomized so the suite stays deterministic.
+of the law's draws, the ensemble statistics are numpy's reductions bit
+for bit, for one case and for a table of cases, and an Empirical law
+with one sample per row is, row by row, the law of that sample bit for
+bit.  Runs are derandomized so the suite stays deterministic.
 """
 
 import datetime
@@ -21,6 +22,7 @@ from windemos import (
     GEV,
     Empirical,
     EnsembleForecast,
+    ForecastBatch,
     GroupSpec,
     LogNormal,
     TruncatedNormal,
@@ -147,3 +149,45 @@ def test_case_rows_hold_each_cases_ensemble_stats(rows):
             stats.variance,
             stats.median,
         )
+
+
+signed = st.one_of(_real(-5.0, 40.0), st.integers(-2, 12).map(float))
+
+
+@deterministic
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(signed, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_a_batched_empirical_law_is_each_rows_law_bit_for_bit(rows, p):
+    law = Empirical(np.array(rows))
+    v = law.values
+    # The CDF at every member value and midway between neighbours, each
+    # column of x one point per row
+    x = np.concatenate([v, (v[:, :-1] + v[:, 1:]) / 2.0], axis=1).T
+    cdf, q = law.cdf(x), law.quantile(p)
+    mean, median, neg = law.mean(), law.median(), law.neg_mass()
+    for i, row in enumerate(rows):
+        one = Empirical(row)
+        want = np.searchsorted(one.values, x[:, i], side="right") / one.n
+        assert np.array_equal(one.cdf(x[:, i]), want)
+        assert np.array_equal(cdf[:, i], want)
+        assert (q[i], mean[i], median[i], neg[i]) == (
+            one.quantile(p),
+            one.mean(),
+            one.median(),
+            one.neg_mass(),
+        )
+
+
+@deterministic
+@given(st.lists(st.lists(signed, min_size=1, max_size=12), min_size=1, max_size=8))
+def test_empirical_laws_of_mixed_sizes_round_trip_through_a_batch(samples):
+    laws = [Empirical(v) for v in samples]
+    batch = ForecastBatch.of(laws)
+    assert len(batch.parts) == len({d.n for d in laws})
+    for got, want in zip(batch.laws(), laws):
+        assert type(got) is Empirical
+        assert np.array_equal(got.values, want.values)

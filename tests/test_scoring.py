@@ -335,6 +335,19 @@ def test_empirical_quantiles_use_plotting_positions():
     assert Empirical([-1.0, 1.0]).neg_mass() == pytest.approx(0.5)
 
 
+def test_a_batched_empirical_law_sorts_and_draws_row_by_row():
+    law = Empirical([[3.0, 1.0, 2.0], [30.0, 10.0, 20.0]])
+    np.testing.assert_array_equal(law.values, [[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
+    assert law.n == 3
+    draws = law.sample(np.random.default_rng(5))
+    assert draws.shape == (2,)
+    assert draws[0] in law.values[0] and draws[1] in law.values[1]
+    # One sample draws as numpy's choice does
+    one = Empirical([3.0, 1.0, 2.0])
+    want = np.random.default_rng(5).choice(one.values, size=4, replace=True)
+    np.testing.assert_array_equal(one.sample(np.random.default_rng(5), size=4), want)
+
+
 def test_score_summary_serialization():
     summary = ScoreSummary(
         mean_crps=0.5,
@@ -538,7 +551,7 @@ def _empirical_batch():
     small = np.sort(np.array([[1.0, 3.0, 2.0], [0.5, 4.0, 4.0]]), axis=1)
     large = np.sort(np.array([[2.0, 2.0, 5.0, 1.0, 3.0], [1.0, 6.0, 2.5, 3.5, 0.2]]), axis=1)
     obs = np.array([2.0, 4.0, 4.0, 0.0])
-    return ForecastBatch(4, [([2, 0], small), ([1, 3], large)]), obs
+    return ForecastBatch(4, [([2, 0], Empirical(small)), ([1, 3], Empirical(large))]), obs
 
 
 @pytest.mark.parametrize("make", [_mixed_batch, _empirical_batch])

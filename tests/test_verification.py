@@ -315,7 +315,8 @@ def test_an_empirical_batch_reports_in_case_order_with_seeded_tie_breaks():
     laws = [Empirical(row) for row in members_rows]
     sorted_rows = np.sort(members_rows, axis=1)
     reverse = np.arange(n)[::-1]
-    report = build_report(cases, ForecastBatch(n, [(reverse, sorted_rows[reverse])]), seed=3)
+    batch = ForecastBatch(n, [(reverse, Empirical(sorted_rows[reverse]))])
+    report = build_report(cases, batch, seed=3)
     assert report.to_dict() == build_report(cases, laws, seed=3).to_dict()
     ranks = ranks_of_obs(sorted_rows, obs, np.random.default_rng(3))
     assert report.histogram_counts == RankHistogram.from_ranks(ranks, 7).counts
