@@ -7,6 +7,11 @@ Subcommands:
 * ``verify``       raw-ensemble or climatology baseline report
 * ``simulate``     seeded synthetic dataset generation
 
+The three report commands are front ends of one runner: `_read` builds
+one `CaseTable` of the data, the command makes its forecasts, `_report`
+scores them and `_write` writes report.json and the CSV tables.  The
+report's ``config`` is the command line's options without the paths.
+
 Exit codes: 0 on success, 1 for input or configuration problems, 2 for
 numeric failures.  Output files are deterministic for a fixed command
 line and input data: JSON is written with sorted keys, CSV with a fixed
@@ -55,6 +60,8 @@ from .verification import build_report
 logger = logging.getLogger(__name__)
 
 _CURVE_PERCENTILES = (50.0, 60.0, 70.0, 75.0, 80.0, 85.0, 90.0, 95.0, 97.0, 99.0)
+# Namespace entries that are no option of the run: outputs record no paths
+_NOT_CONFIG = ("command", "data", "groups", "output_dir", "func")
 
 _SCENARIOS = {
     "calibrated": {},
@@ -118,7 +125,7 @@ def _emit(out_dir, name, *content):
 
 
 def _parse_values(text, cast, what):
-    """Parse '30', '15,20,30', or 'a..b:step' into a list of values."""
+    """Parse '30', '15,20,30', or 'a..b:step' into a non-empty list of values."""
     text = text.strip()
     try:
         if ".." in text:
@@ -129,11 +136,15 @@ def _parse_values(text, cast, what):
             if step <= 0.0 or hi < lo:
                 raise ValueError("range must have positive step and hi >= lo")
             count = int(round((hi - lo) / step)) + 1
-            values = [round(lo + i * step, 10) for i in range(count)]
-            return [cast(v) for v in values if v <= hi + 1e-9]
-        return [cast(float(tok)) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+            grid = [round(lo + i * step, 10) for i in range(count)]
+            values = [cast(v) for v in grid if v <= hi + 1e-9]
+        else:
+            values = [cast(float(tok)) for tok in text.split(",") if tok.strip()]
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse {what} {text!r}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"{what} {text!r} lists no value")
+    return values
 
 
 def _parse_sizes(text):
@@ -150,14 +161,69 @@ def _thresholds_arg(args):
 
 
 def _model_spec(args):
-    theta = getattr(args, "theta", None)
-    if args.model in MIXTURES:
-        if theta is None:
-            raise ConfigError(f"model {args.model} needs --theta")
-        return ModelSpec(args.model, theta=float(theta), strategy=args.strategy)
-    if theta is not None:
-        raise ConfigError(f"model {args.model} takes no --theta")
-    return ModelSpec(args.model)
+    """The ModelSpec of --model, and the --theta grid of grid-search.
+
+    calibrate's --theta is one threshold; grid-search's is a grid whose
+    first threshold goes into the spec.
+    """
+    grid = args.command == "grid-search"
+    if args.model not in MIXTURES:
+        if args.theta is not None:
+            raise ConfigError(f"model {args.model} takes no --theta")
+        return ModelSpec(args.model), None
+    if args.theta is None:
+        raise ConfigError(f"model {args.model} needs {'a --theta grid' if grid else '--theta'}")
+    thetas = _parse_values(args.theta, float, "--theta") if grid else [args.theta]
+    return ModelSpec(args.model, theta=thetas[0], strategy=args.strategy), thetas
+
+
+def _read(args, fitted):
+    """The data's CaseTable, for its GroupSpec when `fitted`, and the dropped-row count.
+
+    The baselines read no columns, so `verify` builds its table without a
+    GroupSpec and also works on one-member data.
+    """
+    dataset, g, dropped = read_dataset(args.data, args.groups)
+    return CaseTable(dataset, g if fitted else None), dropped
+
+
+def _report(args, cases, forecasts, n):
+    # The report of a command's forecasts under its options, as a dict
+    if not cases:
+        raise InsufficientDataError(f"no day has {n} prior days of training data")
+    return build_report(
+        cases,
+        forecasts,
+        thresholds=_thresholds_arg(args),
+        alpha=args.alpha,
+        seed=args.seed,
+        bins=getattr(args, "bins", None),
+        model=args.model,
+    ).to_dict()
+
+
+def _histogram(report):
+    # The rank histogram of empirical forecasts, or the PIT histogram
+    counts = report["histogram_counts"]
+    if report["histogram_kind"] == "rank":
+        return "rank_histogram.csv", ["rank", "count"], list(enumerate(counts, 1))
+    bins = len(counts)
+    rows = [(i + 1, i / bins, (i + 1) / bins, c) for i, c in enumerate(counts)]
+    return "pit_histogram.csv", ["bin", "lower", "upper", "count"], rows
+
+
+def _write(args, dropped, tables, config=None, **blocks):
+    """Write report.json, then each (name, header, rows) CSV table.
+
+    `config` updates the command line's options without paths; `blocks`
+    are the command's own, its `report` among them.
+    """
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    config = {**options, **(config or {})}
+    payload = {"command": args.command, "config": config, "n_rows_dropped": dropped, **blocks}
+    _emit(args.output_dir, "report.json", payload)
+    for table in tables:
+        _emit(args.output_dir, *table)
 
 
 def _fit_dict(fit):
@@ -195,121 +261,42 @@ def _skill_curve_rows(forecasts, ref_forecasts, obs):
     return rows
 
 
-def _report(args, cases, forecasts):
-    # The verification report of a command's forecasts, under its options
-    return build_report(
-        cases,
-        forecasts,
-        thresholds=_thresholds_arg(args),
-        alpha=args.alpha,
-        seed=args.seed,
-        bins=getattr(args, "bins", None),
-        model=args.model,
-    )
-
-
-def _pit_rows(report):
-    counts = report.histogram_counts
-    bins = len(counts)
-    return [
-        (i + 1, i / bins, (i + 1) / bins, int(c)) for i, c in enumerate(counts)
-    ]
-
-
-def _rank_rows(report):
-    return [(i + 1, int(c)) for i, c in enumerate(report.histogram_counts)]
-
-
 def cmd_calibrate(args):
-    dataset, g, dropped = read_dataset(args.data, args.groups)
-    model = _model_spec(args)
-    table = CaseTable(dataset, g)
-    calib = rolling_calibrate(model, g, table, args.train_days)
-    if not calib.cases:
-        raise InsufficientDataError(
-            f"no day has {args.train_days} prior days of training data"
-        )
-    report = _report(args, calib.cases, calib.forecasts)
+    model, _ = _model_spec(args)
+    table, dropped = _read(args, fitted=True)
+    calib = rolling_calibrate(model, table.g, table, args.train_days)
+    report = _report(args, calib.cases, calib.forecasts, args.train_days)
 
     ref = calib
     if args.model != "tn":
-        ref = rolling_calibrate(ModelSpec("tn"), g, table, args.train_days)
+        ref = rolling_calibrate(ModelSpec("tn"), table.g, table, args.train_days)
     obs = np.array([c.obs for c in calib.cases], dtype=float)
     curve = _skill_curve_rows(calib.forecasts, ref.forecasts, obs)
-
-    payload = {
-        "command": "calibrate",
-        "config": {
-            "model": args.model,
-            "theta": getattr(args, "theta", None),
-            "strategy": args.strategy,
-            "train_days": args.train_days,
-            "alpha": args.alpha,
-            "thresholds": args.thresholds,
-            "bins": args.bins,
-            "seed": args.seed,
-        },
-        "n_rows_dropped": dropped,
-        "calibration": _calibration_summary(calib),
-        "report": report.to_dict(),
-    }
-    _emit(args.output_dir, "report.json", payload)
-    pit_header = ["bin", "lower", "upper", "count"]
-    _emit(args.output_dir, "pit_histogram.csv", pit_header, _pit_rows(report))
     curve_header = ["percentile", "threshold", "mean_twcrps", "reference_mean_twcrps", "twcrpss"]
-    _emit(args.output_dir, "twcrpss_vs_threshold.csv", curve_header, curve)
+    tables = [_histogram(report), ("twcrpss_vs_threshold.csv", curve_header, curve)]
+    _write(args, dropped, tables, calibration=_calibration_summary(calib), report=report)
     return 0
 
 
 def cmd_verify(args):
-    dataset, _, dropped = read_dataset(args.data, args.groups)
-    if args.model == "raw":
-        pairs, skipped = rolling_raw(dataset, args.train_days)
-    else:
-        if args.train_days < 1:
-            raise ConfigError("climatology needs --train-days >= 1")
-        pairs, skipped = rolling_climatology(dataset, args.train_days)
-    if not pairs:
-        raise InsufficientDataError(
-            f"no day has {args.train_days} prior days of training data"
-        )
-    report = _report(args, [case for case, _ in pairs], [dist for _, dist in pairs])
-    payload = {
-        "command": "verify",
-        "config": {
-            "model": args.model,
-            "train_days": args.train_days,
-            "alpha": args.alpha,
-            "thresholds": args.thresholds,
-            "seed": args.seed,
-        },
-        "n_rows_dropped": dropped,
-        "alignment": {
-            "n_cases": len(pairs),
-            "skipped": [[day.isoformat(), reason] for day, reason in skipped],
-        },
-        "report": report.to_dict(),
+    if args.model == "climatology" and args.train_days < 1:
+        raise ConfigError("climatology needs --train-days >= 1")
+    table, dropped = _read(args, fitted=False)
+    baseline = rolling_raw if args.model == "raw" else rolling_climatology
+    pairs, skipped = baseline(table, args.train_days)
+    report = _report(args, [c for c, _ in pairs], [d for _, d in pairs], args.train_days)
+    alignment = {
+        "n_cases": len(pairs),
+        "skipped": [[day.isoformat(), reason] for day, reason in skipped],
     }
-    _emit(args.output_dir, "report.json", payload)
-    _emit(args.output_dir, "rank_histogram.csv", ["rank", "count"], _rank_rows(report))
+    _write(args, dropped, [_histogram(report)], alignment=alignment, report=report)
     return 0
 
 
 def cmd_grid_search(args):
-    dataset, g, dropped = read_dataset(args.data, args.groups)
-    table = CaseTable(dataset, g)
     lengths = _parse_values(args.train_days, lambda v: int(round(v)), "--train-days")
-    mixture = args.model in MIXTURES
-    thetas = None
-    if mixture:
-        if args.theta is None:
-            raise ConfigError(f"model {args.model} needs a --theta grid")
-        thetas = _parse_values(args.theta, float, "--theta")
-        model = ModelSpec(args.model, theta=thetas[0], strategy=args.strategy)
-    else:
-        if args.theta is not None:
-            raise ConfigError(f"model {args.model} takes no --theta")
-        model = ModelSpec(args.model)
+    model, thetas = _model_spec(args)
+    table, dropped = _read(args, fitted=True)
 
     # Selection days default to the first half of the days every grid
     # cell can score; the final report is built on the remaining half so
@@ -317,75 +304,53 @@ def cmd_grid_search(args):
     eligible = list(table.dates[max(lengths) :])
     if not eligible:
         raise InsufficientDataError("no day has enough history for the longest window")
+    selection_days = holdout_days = eligible
     if args.selection == "first-half":
         half = (len(eligible) + 1) // 2
-        selection_days = eligible[:half]
-        holdout_days = eligible[half:]
-    else:
-        selection_days = eligible
-        holdout_days = eligible
+        selection_days, holdout_days = eligible[:half], eligible[half:]
 
     result = grid_search(
-        model, g, table, lengths, thetas=thetas, selection_days=selection_days
+        model, table.g, table, lengths, thetas=thetas, selection_days=selection_days
     )
 
-    chosen = ModelSpec(
-        args.model,
-        theta=result.chosen_theta if mixture else None,
-        strategy=args.strategy if mixture else "split",
-    )
-    report_block, holdout_fits = None, None
+    chosen = dataclasses.replace(model, theta=result.chosen_theta)
+    report, holdout_fits = None, None
     if holdout_days:
-        calib = rolling_calibrate(
-            chosen, g, table, result.chosen_length, days=holdout_days
-        )
+        n = result.chosen_length
+        calib = rolling_calibrate(chosen, table.g, table, n, days=holdout_days)
         holdout_fits = calib.fit_counts()
-        if calib.cases:
-            report_block = _report(args, calib.cases, calib.forecasts).to_dict()
+        report = _report(args, calib.cases, calib.forecasts, n)
 
     cells = sorted(
         result.cells.items(),
         key=lambda item: (item[0][0], -np.inf if item[0][1] is None else item[0][1]),
     )
     grid_rows = [(n, theta, crps) for (n, theta), crps in cells]
-    length_rows = [
-        (n, crps) for (n, theta), crps in cells if theta == result.chosen_theta
-    ]
+    length_rows = [(n, crps) for (n, theta), crps in cells if theta == result.chosen_theta]
     theta_rows = [
         (theta, crps)
         for (n, theta), crps in cells
         if n == result.chosen_length and theta is not None
     ]
 
-    payload = {
-        "command": "grid-search",
-        "config": {
-            "model": args.model,
-            "strategy": args.strategy if mixture else None,
-            "train_days": args.train_days,
-            "theta": args.theta,
-            "selection": args.selection,
-            "alpha": args.alpha,
-            "thresholds": args.thresholds,
-            "seed": args.seed,
-        },
-        "n_rows_dropped": dropped,
-        "grid": {
-            "chosen_train_days": result.chosen_length,
-            "chosen_theta": result.chosen_theta,
-            "n_selection_cases": result.n_cases,
-            "selection_days": [d.isoformat() for d in result.days],
-            "holdout_days": [d.isoformat() for d in holdout_days],
-        },
-        # The selection cells' fits, and the chosen cell's refit on the
-        # holdout days (None when there are none)
-        "fits": {"selection": result.fit_counts, "holdout": holdout_fits},
-        "report": report_block,
+    grid = {
+        "chosen_train_days": result.chosen_length,
+        "chosen_theta": result.chosen_theta,
+        "n_selection_cases": result.n_cases,
+        "selection_days": [d.isoformat() for d in result.days],
+        "holdout_days": [d.isoformat() for d in holdout_days],
     }
-    _emit(args.output_dir, "report.json", payload)
-    _emit(args.output_dir, "grid.csv", ["train_days", "theta", "mean_crps"], grid_rows)
-    _emit(args.output_dir, "crps_vs_length.csv", ["train_days", "mean_crps"], length_rows)
-    _emit(args.output_dir, "crps_vs_theta.csv", ["theta", "mean_crps"], theta_rows)
+    # The selection cells' fits, and the chosen cell's refit on the
+    # holdout days (None when there are none)
+    fits = {"selection": result.fit_counts, "holdout": holdout_fits}
+    tables = [
+        ("grid.csv", ["train_days", "theta", "mean_crps"], grid_rows),
+        ("crps_vs_length.csv", ["train_days", "mean_crps"], length_rows),
+        ("crps_vs_theta.csv", ["theta", "mean_crps"], theta_rows),
+    ]
+    # A pure model has no strategy
+    config = {"strategy": args.strategy if model.is_mixture else None}
+    _write(args, dropped, tables, config, grid=grid, fits=fits, report=report)
     return 0
 
 
@@ -490,8 +455,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         if getattr(args, "output_dir", None) is not None:
-            # Before any data is read: a path that cannot be a directory
-            # fails here, not after the whole run
+            # Before any data is read: bad thresholds, or a path that
+            # cannot be a directory, fail here, not after the whole run
+            _thresholds_arg(args)
             os.makedirs(args.output_dir, exist_ok=True)
         return args.func(args)
     except (

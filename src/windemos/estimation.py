@@ -775,6 +775,8 @@ def _windows(table, n, days, skipped):
     days; a wanted day with fewer prior days is appended to `skipped`
     with its reason.
     """
+    if n < 0:
+        raise InvalidInputError(f"window length must be >= 0, got {n}")
     wanted = None if days is None else set(days)
     b = table.bounds
     for i, day in enumerate(table.dates):
@@ -859,7 +861,9 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
     Every cell is scored on the same selection days, which must each
     have at least max(lengths) prior days of data.  Ties within 1e-9
     resolve to the larger length, then the larger theta.  `dataset` is a
-    list of cases or a CaseTable built for `g`.
+    list of cases or a CaseTable built for `g`.  Cell (n, theta) predicts
+    from the fits of one rolling calibration, the chain of (n, theta if
+    split): a shared fit does not depend on theta, so cells share it.
     """
     lengths = sorted({int(n) for n in lengths})
     if not lengths:
@@ -886,42 +890,31 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
         if not days:
             raise InvalidInputError("no selection day has enough history for the grid")
 
-    cells, calibs = {}, []
+    chains, cells = {}, {}
     for n in lengths:
-        if not model.is_mixture:
-            calib = rolling_calibrate(model, g, table, n, days=days)
-            calibs.append(calib)
-            cells[(n, None)] = _mean_crps(calib.cases, calib.forecasts)
-        elif model.strategy == "shared":
-            # Shared-strategy fits do not depend on theta: fit once per
-            # length, then predict each day again per threshold.
-            base = ModelSpec(model.family, theta=thetas[0], strategy="shared")
-            calib = rolling_calibrate(base, g, table, n, days=days)
-            calibs.append(calib)
-            for theta in thetas:
-                spec = ModelSpec(model.family, theta=theta, strategy="shared")
-                batch = ForecastBatch.concat(
+        for theta in thetas:
+            spec = model if theta is None else dataclasses.replace(model, theta=theta)
+            key = (n, theta if model.strategy == "split" else None)
+            if key not in chains:
+                chains[key] = rolling_calibrate(spec, g, table, n, days=days)
+            calib = chains[key]
+            forecasts = calib.forecasts
+            if calib.model != spec:
+                forecasts = ForecastBatch.concat(
                     _predict(spec, calib.fits[day], table.rows[target])
                     for day, _, target in _windows(table, n, days, [])
                 )
-                cells[(n, theta)] = _mean_crps(calib.cases, batch)
-        else:
-            for theta in thetas:
-                spec = ModelSpec(model.family, theta=theta, strategy="split")
-                calib = rolling_calibrate(spec, g, table, n, days=days)
-                calibs.append(calib)
-                cells[(n, theta)] = _mean_crps(calib.cases, calib.forecasts)
-        n_cases = len(calib.cases)
+            cells[(n, theta)] = _mean_crps(calib.cases, forecasts)
 
     best = min(cells.values())
     tied = [key for key, val in cells.items() if val <= best + _TIE_TOL]
     chosen = max(tied, key=lambda key: (key[0], -np.inf if key[1] is None else key[1]))
-    counts = [calib.fit_counts() for calib in calibs]
+    counts = [chain.fit_counts() for chain in chains.values()]
     return GridSearchResult(
         cells=cells,
         chosen_length=chosen[0],
         chosen_theta=chosen[1],
         days=days,
-        n_cases=n_cases,
+        n_cases=len(calib.cases),  # the same days in every cell
         fit_counts={key: sum(c[key] for c in counts) for key in counts[0]},
     )

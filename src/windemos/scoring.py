@@ -519,14 +519,13 @@ def _crps_ensemble(v, x):
 
 
 def crps_empirical(values, x):
-    """Exact CRPS of the empirical law on `values`, in O(n log n)."""
-    if isinstance(values, Empirical):
-        v = values.values
-    else:
-        v = np.sort(np.asarray(values, dtype=float).ravel())
-    if v.size == 0:
-        raise InvalidInputError("empirical CRPS needs at least one value")
-    return float(_crps_ensemble(v, _check_obs(float(x))))
+    """Exact CRPS of the empirical law on `values`, in O(n log n).
+
+    A raw sample must be non-empty and finite, as an `Empirical` law's.
+    """
+    if not isinstance(values, Empirical):
+        values = Empirical(np.ravel(values))
+    return float(_crps_ensemble(values.values, _check_obs(float(x))))
 
 
 def twcrps(cdf, x, r):

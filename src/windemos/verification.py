@@ -135,6 +135,8 @@ def pit_histogram(pits, bins):
         raise InvalidInputError("empty PIT sample")
     if np.any(pits < 0.0) or np.any(pits > 1.0):
         raise InvalidInputError("PIT values must lie in [0, 1]")
+    if int(bins) < 1:
+        raise InvalidInputError(f"PIT histogram needs at least 1 bin, got {bins}")
     counts, edges = np.histogram(pits, bins=int(bins), range=(0.0, 1.0))
     return counts, edges
 
@@ -288,6 +290,8 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
     med, mean, lo, hi, neg, *kind = _columns(forecasts, obs, alpha)
     if is_empirical:
         size, less, ties = (c.astype(int) for c in kind)
+        if int(seed) < 0:
+            raise InvalidInputError(f"tie-breaking seed must be >= 0, got {seed}")
         # The seeded tie-breaks are drawn in case order
         rng = np.random.default_rng(seed)
         ranks = less + 1 + rng.integers(0, ties + 1)

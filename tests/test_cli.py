@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windemos import ModelSpec, NumericFailureError, rolling_calibrate
 from windemos.cli import main
@@ -329,6 +331,98 @@ def test_exit_codes_for_input_problems(tmp_path):
     assert main(["grid-search", str(data), "--train-days", "40..10:5"]) == 1
     assert main(["verify", str(data), "--model", "climatology", "--train-days", "0"]) == 1
     assert main(["calibrate", str(data), "--train-days", "500"]) == 1  # nothing eligible
+    # Option values that are no values: empty lists, no bin, a negative window
+    assert main(["grid-search", str(data), "--model", "tn-ln", "--theta", ","]) == 1
+    assert main(["grid-search", str(data), "--train-days", ","]) == 1
+    assert main(["grid-search", str(data), "--train-days", "0..inf"]) == 1
+    assert main(["calibrate", str(data), "--train-days", "10", "--bins", "0"]) == 1
+    assert main(["calibrate", str(data), "--train-days", "10", "--thresholds", ","]) == 1
+    assert main(["verify", str(data), "--train-days", "-3"]) == 1
+    assert main(["verify", str(data), "--train-days", "10", "--seed", "-1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["calibrate"], "alpha bins model seed strategy theta thresholds train_days"),
+        (
+            ["calibrate", "--model", "tn-ln", "--theta", "6"],
+            "alpha bins model seed strategy theta thresholds train_days",
+        ),
+        (["verify"], "alpha model seed thresholds train_days"),
+        (
+            ["grid-search", "--train-days", "6,8"],
+            "alpha model seed selection strategy theta thresholds train_days",
+        ),
+        (
+            ["grid-search", "--model", "tn-ln", "--theta", "5,6", "--train-days", "6,8"],
+            "alpha model seed selection strategy theta thresholds train_days",
+        ),
+    ],
+)
+def test_config_holds_the_options_and_no_path(tmp_path, argv, keys):
+    # The config block is the command line's options, so a new option
+    # shows here, and no path of the data, group map or outputs leaks
+    data = _simulate(tmp_path, scenario="switching", days=24)
+    out = tmp_path / "out"
+    extra = [] if argv[0] == "grid-search" else ["--train-days", "8"]
+    args = argv[:1] + [str(data), "--groups", f"{data}.groups"] + argv[1:] + extra
+    assert main(args + ["--output-dir", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    config = json.loads(text)["config"]
+    assert sorted(config) == keys.split()
+    if argv[0] == "grid-search":
+        assert config["strategy"] == ("split" if "--theta" in argv else None)
+    assert str(tmp_path) not in text and "data.csv" not in text
+
+
+# Values of each option, with empty lists, 0 and negatives among them
+_OPTION_VALUES = {
+    "--theta": [",", "0", "-1", "6", "5..6:1"],
+    "--train-days": [",", "0", "-3", "4", "30", "3..5:2"],
+    "--strategy": ["split", "shared"],
+    "--selection": ["first-half", "all"],
+    "--alpha": ["0", "-0.5", "0.5"],
+    "--bins": ["0", "-2", "5"],
+    "--thresholds": [",", "-1", "0", "5,8"],
+    "--seed": ["0", "-1"],
+}
+_FITTED = ["tn", "ln", "gev", "tn-ln", "tn-gev"]
+# Each command's models, a run that works on the small data (train days,
+# then theta for a mixture) and its own options
+_COMMANDS = {
+    "calibrate": (_FITTED, ("4", "6"), ("--theta", "--strategy", "--bins")),
+    "verify": (["raw", "climatology"], ("4", None), ()),
+    "grid-search": (_FITTED, ("4", "6"), ("--theta", "--strategy", "--selection")),
+}
+_SHARED_OPTIONS = ("--train-days", "--alpha", "--thresholds", "--seed")
+
+
+@st.composite
+def _argv(draw):
+    # A run that works, then up to two options set to any of their values
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    models, (train_days, theta), own = _COMMANDS[command]
+    model = draw(st.sampled_from(models))
+    argv = [command, "--model", model, "--train-days", train_days]
+    if "-" in model:
+        argv += ["--theta", theta]
+    options = draw(st.lists(st.sampled_from(own + _SHARED_OPTIONS), max_size=2, unique=True))
+    for option in options:
+        argv += [option, draw(st.sampled_from(_OPTION_VALUES[option]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    return _simulate(tmp_path_factory.mktemp("small"), scenario="switching", days=16, stations=2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_main_returns_an_exit_code_for_any_option_values(small_data, argv):
+    out = small_data.parent / "out"
+    assert main(argv[:1] + [str(small_data)] + argv[1:] + ["--output-dir", str(out)]) in (0, 1, 2)
 
 
 def _one_member_data(tmp_path):

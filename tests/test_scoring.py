@@ -185,6 +185,14 @@ def test_crps_empirical_matches_pairwise_sum(seed):
     assert crps_empirical(Empirical(v), x) == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [1.0, np.inf], [-np.inf], []])
+def test_crps_empirical_rejects_a_sample_that_is_not_finite_or_empty(values):
+    # A raw value list gets the checks of an Empirical law: no NaN score,
+    # no RuntimeWarning
+    with pytest.raises(InvalidInputError):
+        crps_empirical(values, 1.0)
+
+
 def test_crps_empirical_translation_equivariance():
     v = np.array([0.5, 2.0, 2.5, 7.0])
     base = crps_empirical(v, 3.0)

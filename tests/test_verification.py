@@ -117,6 +117,12 @@ def test_pit_histogram_bins():
     assert edges[0] == 0.0 and edges[-1] == 1.0
 
 
+@pytest.mark.parametrize("bins", [0, -2])
+def test_pit_histogram_needs_a_bin(bins):
+    with pytest.raises(InvalidInputError):
+        pit_histogram(np.array([0.2, 0.7]), bins=bins)
+
+
 def test_ks_uniform_frozen_value():
     # scipy.stats.kstest(..., mode="asymp") on the same seeded sample.
     u = np.random.default_rng(42).random(200)
