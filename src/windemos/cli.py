@@ -47,13 +47,13 @@ from .estimation import (
     MIXTURES,
     CaseTable,
     ModelSpec,
+    _climatology_stream,
+    _raw_stream,
     grid_search,
     rolling_calibrate,
-    rolling_climatology,
-    rolling_raw,
 )
 from .models import GroupSpec
-from .scoring import twcrps_values
+from .scoring import _check_threshold, twcrps_values
 from .synthetic import ScenarioConfig, generate
 from .verification import build_report
 
@@ -92,12 +92,6 @@ def _jsonify(obj):
     return obj
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonify(payload), indent=2, sort_keys=True))
-        fh.write("\n")
-
-
 def _cell(value):
     if value is None:
         return ""
@@ -106,21 +100,16 @@ def _cell(value):
     return value
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
 def _emit(out_dir, name, *content):
     # A .json file holds one payload, a .csv file a header and its rows
     path = os.path.join(out_dir, name)
-    if name.endswith(".json"):
-        _write_json(path, *content)
-    else:
-        _write_csv(path, *content)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if name.endswith(".json"):
+            fh.write(json.dumps(_jsonify(content[0]), indent=2, sort_keys=True) + "\n")
+        else:
+            header, rows = content
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerows([_cell(v) for v in row] for row in [header, *rows])
     print(path)
 
 
@@ -157,7 +146,7 @@ def _parse_sizes(text):
 def _thresholds_arg(args):
     if args.thresholds is None:
         return None
-    return tuple(_parse_values(args.thresholds, float, "thresholds"))
+    return tuple(_parse_values(args.thresholds, _check_threshold, "thresholds"))
 
 
 def _model_spec(args):
@@ -180,8 +169,8 @@ def _model_spec(args):
 def _read(args, fitted):
     """The data's CaseTable, for its GroupSpec when `fitted`, and the dropped-row count.
 
-    The baselines read no columns, so `verify` builds its table without a
-    GroupSpec and also works on one-member data.
+    The baselines read no group columns, so `verify` builds its table
+    without a GroupSpec and also works on one-member data.
     """
     dataset, g, dropped = read_dataset(args.data, args.groups)
     return CaseTable(dataset, g if fitted else None), dropped
@@ -221,8 +210,7 @@ def _write(args, dropped, tables, config=None, **blocks):
     options = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     config = {**options, **(config or {})}
     payload = {"command": args.command, "config": config, "n_rows_dropped": dropped, **blocks}
-    _emit(args.output_dir, "report.json", payload)
-    for table in tables:
+    for table in [("report.json", payload), *tables]:
         _emit(args.output_dir, *table)
 
 
@@ -279,16 +267,12 @@ def cmd_calibrate(args):
 
 
 def cmd_verify(args):
-    if args.model == "climatology" and args.train_days < 1:
-        raise ConfigError("climatology needs --train-days >= 1")
     table, dropped = _read(args, fitted=False)
-    baseline = rolling_raw if args.model == "raw" else rolling_climatology
-    pairs, skipped = baseline(table, args.train_days)
-    report = _report(args, [c for c, _ in pairs], [d for _, d in pairs], args.train_days)
-    alignment = {
-        "n_cases": len(pairs),
-        "skipped": [[day.isoformat(), reason] for day, reason in skipped],
-    }
+    stream = _raw_stream if args.model == "raw" else _climatology_stream
+    result = stream(table, args.train_days)
+    report = _report(args, result.cases, result.forecasts, args.train_days)
+    skipped = [[day.isoformat(), reason] for day, reason in result.skipped]
+    alignment = {"n_cases": len(result.cases), "skipped": skipped}
     _write(args, dropped, [_histogram(report)], alignment=alignment, report=report)
     return 0
 
@@ -321,10 +305,7 @@ def cmd_grid_search(args):
         holdout_fits = calib.fit_counts()
         report = _report(args, calib.cases, calib.forecasts, n)
 
-    cells = sorted(
-        result.cells.items(),
-        key=lambda item: (item[0][0], -np.inf if item[0][1] is None else item[0][1]),
-    )
+    cells = result.cells.items()
     grid_rows = [(n, theta, crps) for (n, theta), crps in cells]
     length_rows = [(n, crps) for (n, theta), crps in cells if theta == result.chosen_theta]
     theta_rows = [

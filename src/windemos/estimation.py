@@ -30,8 +30,8 @@ evaluates (training length, threshold) cells on a shared selection-day
 set aligned to the longest window, all on one table.
 """
 
-import bisect
 import dataclasses
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -134,9 +134,9 @@ class FitResult:
 
 @dataclass
 class CalibrationResult:
-    """Per-day fits plus every verification-day case and its prediction."""
+    """Every verification-day case, its prediction and the per-day fits of a calibration."""
 
-    model: ModelSpec
+    model: ModelSpec | None  # None for a baseline (raw, climatology), which has no fits
     cases: tuple = ()  # EnsembleForecast per verification case, by day
     forecasts: ForecastBatch = field(default_factory=lambda: ForecastBatch(0, ()))  # of `cases`
     fits: dict = field(default_factory=dict)  # date -> FitResult | (low, high)
@@ -164,7 +164,7 @@ class CalibrationResult:
 
 @dataclass
 class GridSearchResult:
-    cells: dict  # (length, theta) -> mean CRPS; theta None for pure models
+    cells: dict  # (length, theta) -> mean CRPS, in ascending order; theta None for pure models
     chosen_length: int
     chosen_theta: float | None
     days: tuple
@@ -215,8 +215,8 @@ class CaseTable:
     The sort is stable, so each day keeps the dataset's order of its
     cases.  Day i (of `dates`) holds rows `bounds[i]:bounds[i + 1]`, so
     the n days before it are one row slice.  Without a GroupSpec the
-    table has no columns (`rows` is None): the baselines need only the
-    days.
+    table has no columns (`rows` is None): the baselines build the few
+    they read.
     """
 
     def __init__(self, dataset, g=None):
@@ -766,17 +766,17 @@ def days_with_data(dataset):
     return tuple(sorted({c.date for c in dataset}))
 
 
-def _windows(table, n, days, skipped):
+def _windows(table, n, days, skipped, least=0):
     """The target days that have n prior days with data.
 
     Yields (day, training rows, the day's rows) as row slices of the
     table; the window pools every station over the n most recent prior
     days that have any data.  `days` optionally restricts the target
     days; a wanted day with fewer prior days is appended to `skipped`
-    with its reason.
+    with its reason.  A window shorter than `least` days is an error.
     """
-    if n < 0:
-        raise InvalidInputError(f"window length must be >= 0, got {n}")
+    if n < least:
+        raise InvalidInputError(f"window length (training days) must be >= {least}, got {n}")
     wanted = None if days is None else set(days)
     b = table.bounds
     for i, day in enumerate(table.dates):
@@ -786,6 +786,16 @@ def _windows(table, n, days, skipped):
             skipped.append((day, f"only {i} prior days with data, need {n}"))
             continue
         yield day, slice(b[i - n], b[i]), slice(b[i], b[i + 1])
+
+
+def _stream(table, n, days, result, forecast, least=0):
+    # Every target day's cases into `result`, with their `forecast(day, window, target)`
+    cases, batches = [], []
+    for day, window, target in _windows(table, n, days, result.skipped, least):
+        batches.append(forecast(day, window, target))
+        cases.extend(table.cases[target])
+    result.cases, result.forecasts = tuple(cases), ForecastBatch.concat(batches)
+    return result
 
 
 def rolling_calibrate(model, g, dataset, n, days=None):
@@ -799,60 +809,74 @@ def rolling_calibrate(model, g, dataset, n, days=None):
     """
     table = _as_table(dataset, g)
     result = CalibrationResult(model=model)
-    cases, batches, prev = [], [], None
-    for day, window, target in _windows(table, n, days, result.skipped):
+
+    def forecast(day, window, target):
         rows = table.rows[window]
         if model.is_mixture and model.strategy == "split" and _split_mask(model, rows) is None:
             result.n_split_fallbacks += 1
-        fit = _fit_day(model, g, rows, prev)
-        result.fits[day] = fit
-        cases.extend(table.cases[target])
-        batches.append(_predict(model, fit, table.rows[target]))
-        prev = fit
-    result.cases, result.forecasts = tuple(cases), ForecastBatch.concat(batches)
-    return result
+        prev = next(reversed(result.fits.values()), None)  # the previous day's fit
+        result.fits[day] = fit = _fit_day(model, g, rows, prev)
+        return _predict(model, fit, table.rows[target])
+
+    return _stream(table, n, days, result, forecast, least=1)
+
+
+def _empirical_batch(values, first, size):
+    # Row k's law is values[first[k]:first[k] + size[k]], one part per size
+    rows = [np.flatnonzero(size == k) for k in np.unique(size)]
+    parts = [(r, Empirical(values[first[r, None] + np.arange(size[r[0]])])) for r in rows]
+    return ForecastBatch(size.size, parts)
+
+
+def _raw_stream(dataset, n, days=None):
+    # The raw ensemble: each target case's members
+    table = _as_table(dataset)
+    size = np.array([len(c.members) for c in table.cases], dtype=int)
+    values = np.fromiter(itertools.chain.from_iterable(c.members for c in table.cases), float)
+    first = np.cumsum(size) - size
+
+    def forecast(day, window, target):
+        return _empirical_batch(values, first[target], size[target])
+
+    return _stream(table, n, days, CalibrationResult(model=None), forecast)
+
+
+def _climatology_stream(dataset, n, days=None):
+    # Each target station's observations in the window, or every station's
+    table = _as_table(dataset)
+    obs = np.array([np.nan if c.obs is None else c.obs for c in table.cases], dtype=float)
+    names, station = np.unique([c.station for c in table.cases], return_inverse=True)
+
+    def forecast(day, window, target):
+        seen = window.start + np.flatnonzero(~np.isnan(obs[window]))  # rows with an obs
+        if seen.size == 0:
+            raise InvalidInputError("climatology window has no observations")
+        count = np.bincount(station[seen], minlength=names.size)
+        own = count[station[target]]
+        first = np.where(own > 0, (np.cumsum(count) - count)[station[target]], 0)
+        values = obs[seen[np.argsort(station[seen])]]  # grouped by station
+        return _empirical_batch(values, first, np.where(own > 0, own, seen.size))
+
+    return _stream(table, n, days, CalibrationResult(model=None), forecast, least=1)
 
 
 def rolling_climatology(dataset, n, days=None):
-    """Per-day climatological forecasts over the same rolling windows."""
-    table = _as_table(dataset)
-    # Each station's observations, grouped once, in day order with the
-    # numbers of their days: the window of day i is one slice of them
-    number = {day: i for i, day in enumerate(table.dates)}
-    series = {}
-    for c in table.cases:
-        if c.obs is not None:
-            numbers, obs = series.setdefault(c.station, ([], []))
-            numbers.append(number[c.date])
-            obs.append(c.obs)
-    pairs, skipped = [], []
-    for day, window, target in _windows(table, n, days, skipped):
-        i = number[day]
-        per_station = {}
-        for case in table.cases[target]:
-            if case.station not in per_station:
-                numbers, obs = series.get(case.station, ((), ()))
-                own = obs[bisect.bisect_left(numbers, i - n) : bisect.bisect_left(numbers, i)]
-                if not own:  # none in the window: pool every station's
-                    own = [c.obs for c in table.cases[window] if c.obs is not None]
-                    if not own:
-                        raise InvalidInputError("climatology window has no observations")
-                per_station[case.station] = Empirical(own)
-            pairs.append((case, per_station[case.station]))
-    return pairs, skipped
+    """Per-day climatological forecasts over the same rolling windows.
+
+    Returns a (case, Empirical of the station's window observations, or
+    of every station's where it has none) pair per case, and the skipped days.
+    """
+    result = _climatology_stream(dataset, n, days)
+    return result.pairs, result.skipped
 
 
 def rolling_raw(dataset, n, days=None):
-    """Raw-ensemble forecasts on the days a length-n calibration covers."""
-    table = _as_table(dataset)
-    pairs, skipped = [], []
-    for _, _, target in _windows(table, n, days, skipped):
-        pairs.extend((case, Empirical(case.members)) for case in table.cases[target])
-    return pairs, skipped
+    """Raw-ensemble forecasts on the days a length-n calibration covers.
 
-
-def _mean_crps(cases, forecasts):
-    return float(np.mean(crps_values(forecasts, [c.obs for c in cases])))
+    Returns a (case, Empirical of its members) pair per case, and the skipped days.
+    """
+    result = _raw_stream(dataset, n, days)
+    return result.pairs, result.skipped
 
 
 def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
@@ -904,7 +928,7 @@ def grid_search(model, g, dataset, lengths, thetas=None, selection_days=None):
                     _predict(spec, calib.fits[day], table.rows[target])
                     for day, _, target in _windows(table, n, days, [])
                 )
-            cells[(n, theta)] = _mean_crps(calib.cases, forecasts)
+            cells[(n, theta)] = float(np.mean(crps_values(forecasts, [c.obs for c in calib.cases])))
 
     best = min(cells.values())
     tied = [key for key, val in cells.items() if val <= best + _TIE_TOL]

@@ -206,6 +206,13 @@ def _check_obs(x):
     return x
 
 
+def _check_threshold(r):
+    # A twCRPS threshold is a number below +inf (r < inf is false for NaN)
+    if not float(r) < math.inf:
+        raise InvalidInputError(f"twCRPS threshold must be a number below +inf, got {r}")
+    return float(r)
+
+
 def _crps_tn_terms(mu, sigma, x):
     # A = CRPS/sigma of a truncated normal, with the ratios it is built from
     r = mu / sigma
@@ -699,7 +706,7 @@ def twcrps_values(dists, obs, r):
     closed forms of U round at about 1e-14 of the scale in the far
     tail, so the score, a nonnegative integral, is clipped at 0.
     """
-    r = float(r)
+    r = _check_threshold(r)
     if r == -math.inf:
         return crps_values(dists, obs)
     return np.maximum(_score_batches(dists, obs, r), 0.0)

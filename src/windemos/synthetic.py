@@ -55,6 +55,10 @@ class ScenarioConfig:
             raise InvalidParameterError(f"unknown truth model {self.truth!r}")
         if self.obs_sd <= 0.0 or self.daily_sd < 0.0 or self.station_sd < 0.0:
             raise InvalidParameterError("spread settings must be positive")
+        if np.isnan(self.theta_star):
+            raise InvalidParameterError("theta_star must be a number, got nan")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.group_bias is not None:
             gb = tuple(float(v) for v in self.group_bias)
             if len(gb) != self.group_spec.m:

@@ -1,8 +1,9 @@
 """Calibration diagnostics and report assembly.
 
 Rank histograms (with seeded random tie-breaking), PIT histograms, the
-reliability index, central-interval coverage and width, a hand-rolled
-one-sample Kolmogorov-Smirnov uniformity test, negative-mass
+reliability index, central-interval coverage and width, a one-sample
+Kolmogorov-Smirnov uniformity test (a hand-rolled statistic, its
+asymptotic p-value from `scipy.special.kolmogorov`), negative-mass
 diagnostics, and a single report builder that aggregates all of them
 for either parametric or empirical (ensemble/climatology) forecasts.
 """
@@ -11,6 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import special
 
 from .errors import InsufficientDataError, InvalidInputError
 from .scoring import (
@@ -141,32 +143,6 @@ def pit_histogram(pits, bins):
     return counts, edges
 
 
-def _kolmogorov_sf(lam):
-    # Survival function of the asymptotic Kolmogorov law; the direct
-    # alternating series stalls for small arguments, where the
-    # theta-transformed CDF series converges in a couple of terms.
-    if lam <= 0.0:
-        return 1.0
-    if lam < 1.0:
-        total = 0.0
-        for k in range(1, 201):
-            term = math.exp(-((2 * k - 1) ** 2) * math.pi**2 / (8.0 * lam * lam))
-            total += term
-            if term < 1e-10:
-                break
-        cdf = math.sqrt(2.0 * math.pi) / lam * total
-        return min(1.0, max(0.0, 1.0 - cdf))
-    total = 0.0
-    sign = 1.0
-    for k in range(1, 201):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-10:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def ks_uniform_test(pits):
     """One-sample KS test of PIT values against Uniform(0, 1).
 
@@ -182,7 +158,7 @@ def ks_uniform_test(pits):
     d_plus = np.max(i / n - pits)
     d_minus = np.max(pits - (i - 1.0) / n)
     stat = float(max(d_plus, d_minus))
-    return stat, _kolmogorov_sf(math.sqrt(n) * stat)
+    return stat, float(special.kolmogorov(math.sqrt(n) * stat))
 
 
 @dataclass

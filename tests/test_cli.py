@@ -339,6 +339,18 @@ def test_exit_codes_for_input_problems(tmp_path):
     assert main(["calibrate", str(data), "--train-days", "10", "--thresholds", ","]) == 1
     assert main(["verify", str(data), "--train-days", "-3"]) == 1
     assert main(["verify", str(data), "--train-days", "10", "--seed", "-1"]) == 1
+    # A window that cannot hold a training day, a threshold that is no
+    # number below +inf, simulation settings numpy would reject or ignore
+    assert main(["calibrate", str(data), "--train-days", "0"]) == 1
+    assert main(["grid-search", str(data), "--train-days", "0,5"]) == 1
+    for command in ("verify", "calibrate"):
+        for r in ("nan", "inf"):
+            argv = [command, str(data), "--train-days", "10", "--thresholds", r]
+            assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+    out = str(tmp_path / "sim.csv")
+    assert main(["simulate", out, "--days", "3", "--stations", "1", "--seed", "-1"]) == 1
+    assert main(["simulate", out, "--days", "3", "--stations", "1", "--theta-star", "nan"]) == 1
 
 
 @pytest.mark.parametrize(

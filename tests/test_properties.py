@@ -5,9 +5,10 @@ unit of the observation, twCRPS is a nonnegative integral that shrinks
 as the threshold rises and is the CRPS below the support, every
 closed-form quantile inverts its CDF, every closed-form mean is the mean
 of the law's draws, the ensemble statistics are numpy's reductions bit
-for bit, for one case and for a table of cases, and an Empirical law
+for bit, for one case and for a table of cases, an Empirical law
 with one sample per row is, row by row, the law of that sample bit for
-bit.  Runs are derandomized so the suite stays deterministic.
+bit, and the raw and climatology streams are their per-case definitions
+on gappy data.  Runs are derandomized so the suite stays deterministic.
 """
 
 import datetime
@@ -24,13 +25,16 @@ from windemos import (
     EnsembleForecast,
     ForecastBatch,
     GroupSpec,
+    InvalidInputError,
     LogNormal,
     TruncatedNormal,
     crps_values,
     ensemble_stats,
+    rolling_climatology,
+    rolling_raw,
     twcrps_values,
 )
-from windemos.estimation import CaseRows
+from windemos.estimation import CaseRows, _climatology_stream, _raw_stream
 
 deterministic = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -191,3 +195,59 @@ def test_empirical_laws_of_mixed_sizes_round_trip_through_a_batch(samples):
     for got, want in zip(batch.laws(), laws):
         assert type(got) is Empirical
         assert np.array_equal(got.values, want.values)
+
+
+@st.composite
+def _gappy_datasets(draw):
+    """2-6 days x 1-4 stations with missing station-days, cases without
+    an observation and cases of 1-3 members, in a shuffled order."""
+    days, stations = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    start = datetime.date(2024, 1, 1)
+    cases = []
+    for d, s in [(d, s) for d in range(days) for s in range(stations)]:
+        if draw(st.integers(0, 4)) == 0:  # a missing station-day
+            continue
+        values = draw(st.lists(st.integers(0, 12).map(float), min_size=1, max_size=3))
+        obs = draw(st.one_of(st.none(), st.integers(0, 12).map(float)))
+        day = start + datetime.timedelta(days=d)
+        cases.append(EnsembleForecast(day, f"S{s}", tuple(values), obs=obs))
+    return draw(st.permutations(cases)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_gappy_datasets())
+def test_the_baseline_streams_are_their_per_case_definitions(data):
+    dataset, n = data
+    table = sorted(dataset, key=lambda c: c.date)  # stable: each day keeps its order
+    dates = sorted({c.date for c in table})
+    targets = [c for c in table if c.date in dates[n:]]
+    skipped = [(day, f"only {i} prior days with data, need {n}") for i, day in enumerate(dates[:n])]
+
+    def climatology(case):
+        # The station's observations in the window, else every station's
+        i = dates.index(case.date)
+        window = [c for c in table if c.date in dates[i - n : i] and c.obs is not None]
+        own = [c.obs for c in window if c.station == case.station]
+        return Empirical(own or [c.obs for c in window])  # raises when the window has none
+
+    streams = [(rolling_raw, _raw_stream, lambda c: Empirical(c.members))]
+    if n == 0:  # a climatology needs a window of at least one day
+        with pytest.raises(InvalidInputError, match="window length"):
+            rolling_climatology(dataset, n)
+    else:
+        streams.append((rolling_climatology, _climatology_stream, climatology))
+    for public, stream, law in streams:
+        try:
+            laws = [law(c) for c in targets]
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError, match="no observations"):
+                public(dataset, n)
+            continue
+        pairs, got = public(dataset, n)
+        assert got == skipped and [c for c, _ in pairs] == targets
+        assert all(np.array_equal(d.values, want.values) for (_, d), want in zip(pairs, laws))
+        if targets:
+            # Scored in table order, a case without an observation at 1
+            obs = [1.0 if c.obs is None else c.obs for c in targets]
+            batch = stream(dataset, n).forecasts
+            assert np.array_equal(crps_values(batch, obs), crps_values(ForecastBatch.of(laws), obs))

@@ -331,6 +331,16 @@ def test_twcrps_values_matches_scalar_path():
     assert out[2] == pytest.approx(0.125, abs=1e-14)
 
 
+def test_twcrps_thresholds_are_numbers_below_plus_infinity():
+    dists = [TruncatedNormal(2.0, 1.0), LogNormal(1.0, 0.5), Empirical([1.0, 3.0])]
+    obs = [1.5, 5.0, 2.0]
+    for r in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="threshold"):
+            twcrps_values(dists, obs, r)
+    # At -inf no value is censored: the twCRPS is the CRPS
+    assert np.array_equal(twcrps_values(dists, obs, -math.inf), crps_values(dists, obs))
+
+
 def test_empirical_quantiles_use_plotting_positions():
     emp = Empirical([2.0, 4.0, 6.0, 8.0])
     # h = p(n+1) - 1 interpolation: p = k/(n+1) hits the k-th order stat.

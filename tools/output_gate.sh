@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Output gate: run a fixed set of CLI commands against one source tree and
 # keep every file they write, plus the stderr and exit code of six error
-# paths, so two trees can be compared byte for byte.
+# paths, so two trees can be compared byte for byte.  The gate fails when
+# a command fails or an error path succeeds, and when a report.json holds
+# a NaN or an infinity, which strict JSON parsers reject.
 #
 #   tools/output_gate.sh path/to/parent/src out_parent
 #   tools/output_gate.sh src out_change
@@ -87,3 +89,25 @@ fail theta-for-tn calibrate "$data" --model tn --theta 5
 fail calibrate-too-long calibrate "$data" --train-days 500
 fail grid-too-long grid-search "$data" --train-days 59..60:1
 fail verify-too-long verify "$data" --train-days 500
+
+# Every report.json is strict JSON: json.loads calls parse_constant for
+# NaN, Infinity and -Infinity, which no strict parser accepts
+python3 - "$out" <<'PY'
+import json
+import pathlib
+import sys
+
+
+def reject(constant):
+    raise ValueError(f"non-finite number {constant}")
+
+
+bad = []
+for path in sorted(pathlib.Path(sys.argv[1]).rglob("report.json")):
+    try:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    except ValueError as exc:
+        bad.append(f"{path}: {exc}")
+if bad:
+    sys.exit("not strict JSON:\n" + "\n".join(bad))
+PY
