@@ -82,16 +82,6 @@ def _setup_logging():
     )
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonify(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(val) for val in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _cell(value):
     if value is None:
         return ""
@@ -105,7 +95,7 @@ def _emit(out_dir, name, *content):
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if name.endswith(".json"):
-            fh.write(json.dumps(_jsonify(content[0]), indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(content[0], indent=2, sort_keys=True) + "\n")
         else:
             header, rows = content
             writer = csv.writer(fh, lineterminator="\n")

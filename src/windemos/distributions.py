@@ -19,6 +19,7 @@ from .errors import InvalidInputError, InvalidParameterError, UndefinedMomentErr
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 # Below this the GEV xi-branch cancels badly; use the Gumbel form.
 _SMALL_XI = 1e-6
@@ -42,6 +43,11 @@ def log_norm_cdf(z):
 def log_norm_pdf(z):
     z = np.asarray(z, dtype=float)
     return -0.5 * z * z - _LOG_SQRT_2PI
+
+
+def norm_cdf_pdf_ratio(t):
+    """Phi(t)/phi(t) = sqrt(pi/2) erfcx(-t/sqrt2), with no exp(t^2/2) to overflow."""
+    return _SQRT_HALF_PI * special.erfcx(-np.asarray(t, dtype=float) / _SQRT2)
 
 
 def _validate_positive(value, name):
@@ -103,8 +109,10 @@ class TruncatedNormal:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        # 1 - Phi((mu-x)/sigma)/Phi(mu/sigma), arranged to survive deep truncation
-        val = -np.expm1(log_norm_cdf((self.mu - x) / self.sigma) - self._log_norm_const)
+        # 1 - Phi((mu-x)/sigma)/Phi(mu/sigma), arranged to survive deep
+        # truncation; x below 0 would overflow it, and F is 0 there
+        z = (self.mu - np.maximum(x, 0.0)) / self.sigma
+        val = -np.expm1(log_norm_cdf(z) - self._log_norm_const)
         return np.where(x <= 0.0, 0.0, np.clip(val, 0.0, 1.0))
 
     def logpdf(self, x):
@@ -118,8 +126,10 @@ class TruncatedNormal:
         return np.exp(self.logpdf(x))
 
     def mean(self):
+        # mu + sigma phi(r)/Phi(r), the ratio below r = 0 as 1/(Phi/phi)(r)
         r = self._ratio
-        return self.mu + self.sigma * np.exp(log_norm_pdf(r) - self._log_norm_const)
+        lam = np.exp(log_norm_pdf(r) - self._log_norm_const)
+        return self.mu + self.sigma * np.where(r < 0.0, 1.0 / norm_cdf_pdf_ratio(r), lam)
 
     def median(self):
         return self.quantile(0.5)

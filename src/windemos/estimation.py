@@ -7,8 +7,8 @@ partial derivatives in each case's location and scale (or the GEV
 score), chained through the links; a floored link passes no gradient.
 The TN and LN objectives also return their exact Hessian, J^T W J of
 the per-case second CRPS partials, and are minimized by projected
-Newton; a Newton run that does not converge, and every GEV fit, runs
-L-BFGS-B with one restart from the incumbent.  The bounds keep the TN
+Newton; every GEV fit runs L-BFGS-B with one restart from the
+incumbent.  Each family has that one optimizer.  The bounds keep the TN
 and LN weights and variance coefficients nonnegative and the GEV shape
 below 1, where the predictive mean and CRPS exist.  Both optimizers
 work in standardized coordinates, built once per training window: each
@@ -57,16 +57,17 @@ from .scoring import Empirical, ForecastBatch, _crps_ln_grad, _crps_tn_grad, crp
 
 MIXTURES = ("tn-ln", "tn-gev")
 # The stopping rules of every fit: the projected gradient (gtol) or the
-# relative decrease of one step (ftol).  L-BFGS-B runs twice on them (see
-# `_lbfgsb`); projected Newton stops on the same two (see `_newton`)
+# relative decrease of one step (ftol).  The GEV's L-BFGS-B runs twice on
+# them (see `_lbfgsb`); projected Newton stops on the same two (see `_newton`)
 _FIT_OPTIONS = {"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-7}
-# Projected Newton: iterations before a run is handed to L-BFGS-B, the
-# Armijo constant, the step below which the line search gives up and the
-# widest gap to a bound that counts as on it
+# Projected Newton: its iterations, the Armijo constant, the step below
+# which the line search gives up, the widest gap to a bound that counts
+# as on it, and the longest step as a multiple of max(1, |v|_inf)
 _NEWTON_MAXITER = 50
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 _ACTIVE_GAP = 1e-3
+_MAX_STEP = 100.0
 # The GEV shape stays below 1, where the mean and the CRPS exist
 _XI_MAX = 1.0 - 1e-6
 _BIG = 1e12
@@ -127,9 +128,8 @@ class FitResult:
     params: object
     objective: float
     converged: bool
-    n_evals: int  # every trial point of the fit, Newton and L-BFGS-B alike
+    n_evals: int  # every trial point of the fit
     at_boundary: bool = False
-    newton_fallback: bool = False  # projected Newton stalled; L-BFGS-B finished
 
 
 @dataclass
@@ -157,7 +157,6 @@ class CalibrationResult:
             "n_fits_nonconverged": sum(not f.converged for f in fits),
             "n_fits_at_floor": sum(f.at_boundary for f in fits),
             "n_optimizer_evals": sum(f.n_evals for f in fits),
-            "n_newton_fallbacks": sum(f.newton_fallback for f in fits),
             "n_split_fallbacks": self.n_split_fallbacks,
         }
 
@@ -315,13 +314,15 @@ def _newton(of_v, v, lower, upper):
 
     A coordinate within a small gap of a bound that its gradient points
     out of is active and takes a gradient step onto the bound; the
-    others take the Newton step of their block of the exact Hessian.
-    Armijo backtracking runs along the projected path, and each trial
-    point is evaluated with its Hessian, so an accepted full step costs
-    one evaluation.  Stops on `_FIT_OPTIONS`' projected gradient or
-    relative decrease.  Returns the best point evaluated (a trial the
-    line search rejected can lie below the accepted one), its value,
-    whether the run converged, and the number of evaluations.
+    others take the Newton step of their block of the exact Hessian.  A
+    step longer than `_MAX_STEP` max(1, |v|_inf), as where the CRPS is
+    flat, is cut back along its direction.  Armijo backtracking runs along
+    the projected path, and each trial point is evaluated with its
+    Hessian, so an accepted full step costs one evaluation.  Stops on
+    `_FIT_OPTIONS`' projected gradient or relative decrease.  Returns the
+    best point evaluated (a trial the line search rejected can lie below
+    the accepted one), its value, whether the run converged, and the
+    number of evaluations.
     """
     best, evals = [np.inf, v], 0
 
@@ -347,6 +348,7 @@ def _newton(of_v, v, lower, upper):
         step = -grad
         if np.any(free):
             step[free] = _newton_step(hess[np.ix_(free, free)], grad[free])
+        step *= min(1.0, _MAX_STEP * max(1.0, np.max(np.abs(v))) / np.max(np.abs(step)))
         slope = float(grad[free] @ step[free])
         t = 1.0
         while True:
@@ -365,8 +367,8 @@ def _newton(of_v, v, lower, upper):
     return result(False)
 
 
-def _lbfgsb(of_v, v, val, bounds):
-    """L-BFGS-B from v (value val, inf if not yet evaluated), run twice.
+def _lbfgsb(of_v, v, lower, upper):
+    """L-BFGS-B from v on box bounds, run twice.
 
     One restart from the incumbent rescues runs whose line search stalls
     at a kink, such as the GEV support penalty.  A stalled run can end on
@@ -376,7 +378,7 @@ def _lbfgsb(of_v, v, val, bounds):
     """
     from scipy import optimize
 
-    best = [val, v]
+    best = [np.inf, v]
 
     def tracked(v):
         val, grad = of_v(v)
@@ -384,7 +386,7 @@ def _lbfgsb(of_v, v, val, bounds):
             best[:] = val, np.array(v, dtype=float)
         return val, grad
 
-    evals, converged = 0, False
+    evals, converged, bounds = 0, False, list(zip(lower, upper))
     for _ in range(2):
         run = optimize.minimize(
             tracked, best[1], jac=True, method="L-BFGS-B", bounds=bounds, options=_FIT_OPTIONS
@@ -392,31 +394,6 @@ def _lbfgsb(of_v, v, val, bounds):
         evals += int(run.nfev)
         converged = converged or bool(run.success)
     return best[1], float(best[0]), converged, evals
-
-
-def _fit(objective, u0, bounds, A, newton):
-    """Minimize an exact-derivative objective on box bounds.
-
-    The optimizer works in the standardized coordinates v of u = A v
-    (`_standardizer`), starting from A^-1 u0, and the fit returns A v.
-    A scales each coordinate bounded by 0 by a positive factor alone and
-    leaves the GEV shape as it is, so `bounds` hold for v unchanged.
-    An objective with a Hessian (`newton`) is minimized by projected
-    Newton; a run that does not converge is handed, from its best point,
-    to L-BFGS-B, which every other objective runs from the start.
-    Returns u, its value, whether the fit converged, the number of
-    evaluations and whether Newton handed over.
-    """
-    of_v = _standardized(objective, A)
-    v, val, evals = np.linalg.solve(A, u0), np.inf, 0
-    if newton:
-        lower = np.array([-np.inf if lo is None else lo for lo, _ in bounds])
-        upper = np.array([np.inf if hi is None else hi for _, hi in bounds])
-        v, val, converged, evals = _newton(of_v, np.clip(v, lower, upper), lower, upper)
-        if converged:
-            return A @ v, val, True, evals, False
-    v, val, converged, more = _lbfgsb(of_v, v, val, bounds)
-    return A @ v, val, converged, evals + more, newton
 
 
 def _mean_and_grad(per_case, grad, hess=None):
@@ -599,7 +576,7 @@ class _Family:
     column: str  # the CaseRows column of the second link
     bounds: tuple  # bounds of the intercept, of each group weight, then of the rest
     floor: float  # floor of the first link, -inf where it has none
-    newton: bool  # the objective also gives its Hessian: fit by projected Newton
+    optimizer: object  # (of_v, v, lower, upper) -> (v, value, converged, evaluations)
     fit: object  # (g, training window, init params) -> FitResult, by the public fit
 
 
@@ -607,19 +584,19 @@ class _Family:
 # coefficients are free but the shape, below _XI_MAX.  The fits name the
 # module's functions at call time, so a wrapper put on the module (a
 # profiler's, say) sees every fit.
-_NONNEGATIVE = ((None, None), (0.0, None), (0.0, None), (0.0, None))
+_NONNEGATIVE = ((-np.inf, np.inf), (0.0, np.inf), (0.0, np.inf), (0.0, np.inf))
 _FAMILY_TABLE = {
     "tn": _Family(
-        TnParams, default_tn_params, _tn_objective, "s2", _NONNEGATIVE, -np.inf, True,
+        TnParams, default_tn_params, _tn_objective, "s2", _NONNEGATIVE, -np.inf, _newton,
         lambda g, window, init: fit_min_crps("tn", g, window, init=init),
     ),
     "ln": _Family(
-        LnParams, default_ln_params, _ln_objective, "s2", _NONNEGATIVE, MEAN_FLOOR, True,
+        LnParams, default_ln_params, _ln_objective, "s2", _NONNEGATIVE, MEAN_FLOOR, _newton,
         lambda g, window, init: fit_min_crps("ln", g, window, init=init),
     ),
     "gev": _Family(
         GevParams, default_gev_params, _gev_objective, "fbar",
-        ((None, None),) * 4 + ((None, _XI_MAX),), -np.inf, False,
+        ((-np.inf, np.inf),) * 4 + ((-np.inf, _XI_MAX),), -np.inf, _lbfgsb,
         lambda g, window, init: fit_gev_ml(g, window, init=init),
     ),
 }
@@ -627,31 +604,34 @@ FAMILIES = (*_FAMILY_TABLE, *MIXTURES)
 
 
 def _vector(family, m, p):
-    # The fit's u of a family's link coefficients p and its bounds, both
-    # as intercept, group weights, then the rest; a GEV warm start above
-    # the shape's bound starts on it
+    # The fit's u of a family's link coefficients p and its lower and
+    # upper bounds, all as intercept, group weights, then the rest; a GEV
+    # warm start above the shape's bound starts on it
     head, weight, *rest = _FAMILY_TABLE[family].bounds
-    bounds = [head] + [weight] * m + rest
+    lower, upper = np.array([head, *[weight] * m, *rest]).T
     head, weights, *rest = dataclasses.astuple(p)
-    upper = [np.inf if hi is None else hi for _, hi in bounds]
-    return np.minimum(np.concatenate([[head], weights, rest]), upper), bounds
+    return np.minimum(np.concatenate([[head], weights, rest]), upper), lower, upper
 
 
 def _fit_family(family, g, rows, init):
     """The body of both public fits: a family fitted on training rows.
 
-    Packs `init` (None: the cold start) into u, runs `_fit` in the
-    window's standardized coordinates, unpacks, and flags a floored link.
+    Packs `init` (None: the cold start) into u, runs the family's optimizer
+    in the window's standardized coordinates v of u = A v (`_standardizer`,
+    which keeps each bound's form), unpacks A v, and flags a floored link.
     """
     fam = _FAMILY_TABLE[family]
     m, x = g.m, getattr(rows, fam.column)
-    u0, bounds = _vector(family, m, fam.cold(g) if init is None else init)
-    objective, A = fam.objective(rows.gs, x, rows.obs), _standardizer(rows.gs, x, u0.size)
-    u, fun, converged, evals, handed = _fit(objective, u0, bounds, A, fam.newton)
+    u0, lower, upper = _vector(family, m, fam.cold(g) if init is None else init)
+    A = _standardizer(rows.gs, x, u0.size)
+    of_v = _standardized(fam.objective(rows.gs, x, rows.obs), A)
+    v0 = np.clip(np.linalg.solve(A, u0), lower, upper)
+    v, fun, converged, evals = fam.optimizer(of_v, v0, lower, upper)
+    u = A @ v
     first, second = _links(u, rows.gs, x)
     boundary = bool(np.any(first < fam.floor) or np.any(second < SCALE_FLOOR))
     params = fam.params(u[0], tuple(u[1 : 1 + m]), *u[1 + m :])
-    return FitResult(params, fun, converged, evals, boundary, handed)
+    return FitResult(params, fun, converged, evals, boundary)
 
 
 def fit_min_crps(family, g, window, init=None):
@@ -677,7 +657,7 @@ def fit_gev_ml(g, window, init=None):
     """
     rows = _training_rows(window, g)
     if init is not None:
-        u0, _ = _vector("gev", g.m, init)
+        u0 = _vector("gev", g.m, init)[0]
         loc, scale_raw = _links(u0, rows.gs, rows.fbar)
         # Per training case: is its likelihood at the start finite
         inside = np.zeros(len(rows), dtype=bool)

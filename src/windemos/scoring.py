@@ -35,6 +35,7 @@ from .distributions import (
     log_norm_cdf,
     log_norm_pdf,
     norm_cdf,
+    norm_cdf_pdf_ratio,
     norm_pdf,
 )
 from .errors import (
@@ -214,22 +215,32 @@ def _check_threshold(r):
 
 
 def _crps_tn_terms(mu, sigma, x):
-    # A = CRPS/sigma of a truncated normal, with the ratios it is built from
+    # A = CRPS/sigma of a truncated normal, its ratios and lam = phi(r)/Phi(r)
     r = mu / sigma
     z = (x - mu) / sigma
     log_nc = log_norm_cdf(r)
     upper_ratio = np.exp(log_norm_cdf(-z) - log_nc)
     dens_ratio = np.exp(log_norm_pdf(z) - log_nc)
     pair_ratio = np.exp(log_norm_cdf(_SQRT2 * r) - 2.0 * log_nc)
+    lam = np.exp(log_norm_pdf(r) - log_nc)
+    if np.any(r < 0.0):
+        # Those log differences lose every digit as r falls: with Phi = phi m
+        # (`norm_cdf_pdf_ratio`), phi(z)/phi(r) = exp(-xs (xs/2 - r)), xs = x/sigma
+        rn, xs = np.minimum(r, 0.0), x / sigma
+        m, e = norm_cdf_pdf_ratio(rn), np.exp(-xs * (0.5 * xs - rn))
+        pair = _SQRT2 * _SQRT_PI * norm_cdf_pdf_ratio(_SQRT2 * rn) / (m * m)
+        deep = (e * norm_cdf_pdf_ratio(rn - xs) / m, e / m, pair, 1.0 / m)
+        old = (upper_ratio, dens_ratio, pair_ratio, lam)
+        upper_ratio, dens_ratio, pair_ratio, lam = map(np.where, [r < 0.0] * 4, deep, old)
     a = z * (1.0 - 2.0 * upper_ratio) + 2.0 * dens_ratio - pair_ratio / _SQRT_PI
-    return a, r, z, log_nc, upper_ratio, dens_ratio, pair_ratio
+    return a, r, z, upper_ratio, dens_ratio, pair_ratio, lam
 
 
 def _crps_tn_grad(mu, sigma, x):
     """TN CRPS with its first and second partials in mu and sigma (unvalidated).
 
     With A = CRPS/sigma, z = (x - mu)/sigma, r = mu/sigma, the same
-    log-domain ratios U = Phi(-z)/Phi(r), D = phi(z)/Phi(r) and
+    ratios U = Phi(-z)/Phi(r), D = phi(z)/Phi(r) and
     P = Phi(sqrt2 r)/Phi(r)^2 as the CRPS, and lam = phi(r)/Phi(r):
     A_z = 1 - 2U, A_r = 2 lam q with q = z U - D + P/sqrt(pi) - lam,
     A_zz = 2D, A_zr = 2 lam U and A_rr = 2 lam ((r + 2 lam)(lam - q)
@@ -239,8 +250,7 @@ def _crps_tn_grad(mu, sigma, x):
     (mu sigma) and z^2 A_zz + 2 z r A_zr + r^2 A_rr (sigma sigma).
     Returns the CRPS, (d_mu, d_sigma) and (h_mu_mu, h_mu_sigma, h_sigma_sigma).
     """
-    a, r, z, log_nc, upper_ratio, dens_ratio, pair_ratio = _crps_tn_terms(mu, sigma, x)
-    lam = np.exp(log_norm_pdf(r) - log_nc)
+    a, r, z, upper_ratio, dens_ratio, pair_ratio, lam = _crps_tn_terms(mu, sigma, x)
     pair = pair_ratio / _SQRT_PI
     q = z * upper_ratio - dens_ratio + pair - lam
     a_z = 1.0 - 2.0 * upper_ratio
@@ -261,9 +271,9 @@ def crps_tn(d, x):
     """Closed-form CRPS of a truncated normal forecast.
 
     Algebraically identical to the textbook expression but arranged as
-    tail-stable ratios Phi(-z)/Phi(r), phi(z)/Phi(r), Phi(sqrt(2) r)/Phi(r)^2
-    evaluated through log-CDF differences, so deep truncation
-    (mu/sigma far below 0) does not cancel catastrophically.
+    tail-stable ratios Phi(-z)/Phi(r), phi(z)/Phi(r), Phi(sqrt(2) r)/Phi(r)^2,
+    through log-CDF differences, or Phi/phi where r = mu/sigma < 0, so deep
+    truncation (r far below 0) does not cancel catastrophically.
     """
     return d.sigma * _crps_tn_terms(d.mu, d.sigma, _check_obs(x))[0]
 
@@ -320,16 +330,24 @@ def _upper_tn(d, r):
 
     sigma I(c) / Phi(mu/sigma)^2 with c = (mu - r)/sigma and I(c) =
     c Phi(c)^2 + 2 phi(c) Phi(c) - Phi(sqrt(2) c)/sqrt(pi), the integral
-    of Phi^2 up to c, as log-domain ratios like `crps_tn`.
+    of Phi^2 up to c, as ratios like `crps_tn`; below mu = 0, with Phi = phi m,
+    as (phi(c)/phi(mu/sigma))^2 (c m(c)^2 + 2 m(c) - sqrt2 m(sqrt2 c))/m(mu/sigma)^2.
     """
     c = (d.mu - r) / d.sigma
     log_nc = log_norm_cdf(d.mu / d.sigma)
     log_c = log_norm_cdf(c)
-    return d.sigma * (
+    val = (
         c * np.exp(2.0 * (log_c - log_nc))
         + 2.0 * np.exp(log_norm_pdf(c) + log_c - 2.0 * log_nc)
         - np.exp(log_norm_cdf(_SQRT2 * c) - 2.0 * log_nc) / _SQRT_PI
     )
+    if np.any(d.mu < 0.0):
+        rn, rs = np.minimum(d.mu / d.sigma, 0.0), r / d.sigma
+        cn, m = rn - rs, norm_cdf_pdf_ratio(rn)
+        mc = norm_cdf_pdf_ratio(cn)
+        deep = cn * mc * mc + 2.0 * mc - _SQRT2 * norm_cdf_pdf_ratio(_SQRT2 * cn)
+        val = np.where(d.mu < 0.0, np.exp(-rs * (rs - 2.0 * rn)) * deep / (m * m), val)
+    return d.sigma * val
 
 
 def _upper_ln(d, r):

@@ -189,7 +189,8 @@ class VerificationReport:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["scores"] = self.scores.to_dict()
         out["histogram_counts"] = list(self.histogram_counts)
-        out["thresholds"] = list(self.thresholds)
+        # -inf (the plain CRPS) as its mean_twcrps key: JSON has no infinity
+        out["thresholds"] = [r if math.isfinite(r) else f"{r:g}" for r in self.thresholds]
         return out
 
 

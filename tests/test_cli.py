@@ -3,6 +3,7 @@
 import csv
 import datetime
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,7 +144,35 @@ def test_calibrate_reports_fit_counters(tmp_path):
     assert calibration["n_fits_nonconverged"] == sum(not f.converged for f in fits)
     assert calibration["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
     assert calibration["n_optimizer_evals"] == sum(f.n_evals for f in fits) > 0
-    assert calibration["n_newton_fallbacks"] == sum(f.newton_fallback for f in fits)
+
+
+def test_one_day_tn_windows_write_a_finite_nonnegative_mean_crps(tmp_path):
+    # Each window holds 3 cases, fewer than the 4 coefficients, so the CRPS
+    # is flat along some directions of the fit
+    data = _simulate(tmp_path, scenario="switching", days=30, stations=3, seed=0)
+    out = tmp_path / "out"
+    args = ["calibrate", str(data), "--model", "tn", "--train-days", "1"]
+    assert main(args + ["--output-dir", str(out)]) == 0
+    mean_crps = json.loads((out / "report.json").read_text())["report"]["scores"]["mean_crps"]
+    assert math.isfinite(mean_crps) and mean_crps >= 0.0
+
+
+def _reject(constant):
+    raise ValueError(f"non-finite number {constant}")
+
+
+@pytest.mark.parametrize("command", ["calibrate", "verify"])
+def test_a_minus_inf_threshold_keeps_report_json_strict(tmp_path, command):
+    # -inf is written as the key of its mean_twcrps; a finite threshold stays a number
+    data = _simulate(tmp_path)
+    out = tmp_path / "out"
+    args = [command, str(data), "--train-days", "10", "--thresholds=-inf,5"]
+    assert main(args + ["--output-dir", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    report = json.loads(text, parse_constant=_reject)["report"]
+    assert report["thresholds"] == ["-inf", 5.0]
+    assert report["scores"]["mean_twcrps"]["-inf"] == report["scores"]["mean_crps"]
+    assert list(report["scores"]["mean_twcrps"]) == ["-inf", "5"]
 
 
 @pytest.mark.parametrize("strategy", ["split", "shared"])
@@ -177,7 +206,6 @@ def test_grid_search_reports_fit_counters(tmp_path, strategy):
         assert got["n_fits_nonconverged"] == sum(not f.converged for f in fits)
         assert got["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
         assert got["n_optimizer_evals"] == sum(f.n_evals for f in fits)
-        assert got["n_newton_fallbacks"] == sum(f.newton_fallback for f in fits)
         assert got["n_split_fallbacks"] == sum(calib.n_split_fallbacks for calib in calibs)
     if strategy == "split":
         assert counts["selection"]["n_split_fallbacks"] > 0

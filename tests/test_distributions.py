@@ -82,6 +82,15 @@ def test_tn_cdf_zero_below_support():
     assert d.neg_mass() == 0.0
 
 
+@pytest.mark.parametrize("mu", [-1e4, -1e6])
+def test_tn_mean_under_deep_truncation(mu):
+    # The law is nearly exponential with rate |mu| (sigma 1), so its mean
+    # is -1/mu - 2/mu^3 + ...; it is left after mu + phi/Phi cancels to
+    # a roundoff of order eps |mu|
+    d = TruncatedNormal(mu, 1.0)
+    assert d.mean() == pytest.approx(-1.0 / mu - 2.0 / mu**3, abs=1e-15 * abs(mu))
+
+
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (6.0, 2.5), (-8.0, 3.0), (-30.0, 1.0), (50.0, 0.5)])
 def test_tn_quantile_inversion(mu, sigma):
     # The probability error of the inverted CDF must stay within 1e-10

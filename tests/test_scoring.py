@@ -88,10 +88,11 @@ def test_crps_tn_matches_quadrature(mu, sigma, x):
     assert crps_tn(d, x) == pytest.approx(crps_numeric(d.cdf, x), abs=2e-8)
 
 
-@pytest.mark.parametrize("mu", [-30.0, -15.0])
+@pytest.mark.parametrize("mu", [-1e6, -1e4, -30.0, -15.0])
 def test_crps_tn_deep_truncation_is_stable(mu):
     # Nearly all normal mass lies below zero here; the score must stay
-    # finite, positive, and agree with quadrature.
+    # finite, positive, and agree with quadrature.  At mu/sigma = -1e4 and
+    # -1e6 the log-domain ratios cancel terms of size 5e7 and 5e11
     d = TruncatedNormal(mu, 1.0)
     for x in (0.0, 0.02, 0.2):
         val = crps_tn(d, x)
@@ -428,6 +429,9 @@ def test_gev_crps_undefined_for_large_shape():
 TW_ORACLE_CASES = {
     "tn": (TruncatedNormal(2.0, 1.0), (0.0, 0.3, 2.0, 9.0), (-1.0, 0.0, 0.5, 3.0, 12.0)),
     "tn-deep": (TruncatedNormal(-20.0, 0.5), (0.0, 0.02, 0.2), (0.0, 0.01, 0.05, 0.3)),
+    # mean 1e-4 and 1e-6: thresholds inside and past the mass
+    "tn-deeper": (TruncatedNormal(-1e4, 1.0), (0.0, 2e-5, 0.2), (0.0, 1e-5, 1e-4, 1e-3)),
+    "tn-deepest": (TruncatedNormal(-1e6, 1.0), (0.0, 2e-6, 5.0), (0.0, 1e-6, 1e-5)),
     "ln": (LogNormal(0.5, 0.6), (0.0, 0.4, 2.0, 9.0), (-1.0, 0.0, 1.0, 3.0, 30.0)),
     # r = e puts log r exactly at mu + sigma^2, the switch of Owen's formula
     "ln-switch": (LogNormal(0.0, 1.0), (0.5, 3.0), (math.e,)),

@@ -3,7 +3,8 @@
 # keep every file they write, plus the stderr and exit code of six error
 # paths, so two trees can be compared byte for byte.  The gate fails when
 # a command fails or an error path succeeds, and when a report.json holds
-# a NaN or an infinity, which strict JSON parsers reject.
+# a NaN or an infinity, which strict JSON parsers reject; two commands
+# pass a threshold of -inf to check that case.
 #
 #   tools/output_gate.sh path/to/parent/src out_parent
 #   tools/output_gate.sh src out_change
@@ -82,6 +83,10 @@ for model in raw climatology; do
 done
 
 data="$tmp/data-8.csv"
+# A threshold of -inf (the plain CRPS) next to a finite one
+run "thresholds/cal-tn" calibrate "$data" --train-days 20 --thresholds=-inf,8
+run "thresholds/verify-raw" verify "$data" --thresholds=-inf,8
+
 mkdir -p "$out/errors"
 fail no-theta calibrate "$data" --model tn-ln
 fail no-theta-grid grid-search "$data" --model tn-ln
