@@ -274,10 +274,9 @@ def cmd_grid_search(args):
 
     # Selection days default to the first half of the days every grid
     # cell can score; the final report is built on the remaining half so
-    # selection and assessment never share a day.
+    # selection and assessment never share a day.  With no such day,
+    # grid_search raises.
     eligible = list(table.dates[max(lengths) :])
-    if not eligible:
-        raise InsufficientDataError("no day has enough history for the longest window")
     selection_days = holdout_days = eligible
     if args.selection == "first-half":
         half = (len(eligible) + 1) // 2

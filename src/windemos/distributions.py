@@ -109,11 +109,19 @@ class TruncatedNormal:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        # 1 - Phi((mu-x)/sigma)/Phi(mu/sigma), arranged to survive deep
-        # truncation; x below 0 would overflow it, and F is 0 there
-        z = (self.mu - np.maximum(x, 0.0)) / self.sigma
-        val = -np.expm1(log_norm_cdf(z) - self._log_norm_const)
-        return np.where(x <= 0.0, 0.0, np.clip(val, 0.0, 1.0))
+        # 1 - Phi((mu-x)/sigma)/Phi(mu/sigma), through the log of that
+        # ratio; x below 0 would overflow it, and F is 0 there
+        x0 = np.maximum(x, 0.0)
+        log_sf = log_norm_cdf((self.mu - x0) / self.sigma) - self._log_norm_const
+        if np.any(self.mu < 0.0):
+            # The log-CDF difference loses digits as r = mu/sigma falls: with
+            # Phi = phi m (`norm_cdf_pdf_ratio`) and xs = x/sigma, the log is
+            # -xs (xs/2 - r) + log(m(r - xs)/m(r)), as in the TN scores
+            r, xs = np.minimum(self._ratio, 0.0), x0 / self.sigma
+            with np.errstate(divide="ignore", over="ignore"):  # -inf as x -> inf
+                ratio = np.log(norm_cdf_pdf_ratio(r - xs) / norm_cdf_pdf_ratio(r))
+                log_sf = np.where(self.mu < 0.0, ratio - xs * (0.5 * xs - r), log_sf)
+        return np.where(x <= 0.0, 0.0, np.clip(-np.expm1(log_sf), 0.0, 1.0))
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -189,11 +197,6 @@ class LogNormal:
     def __init__(self, mu, sigma):
         self.mu = _validate_finite(mu, "mu")
         self.sigma = _validate_positive(sigma, "sigma")
-
-    @classmethod
-    def from_mean_variance(cls, m, v):
-        """Build from the mean and variance of X itself."""
-        return MeanVariance(m, v).to_lognormal()
 
     def mean_variance(self):
         s2 = self.sigma * self.sigma

@@ -285,13 +285,10 @@ def _standardizer(gs, x, n):
 
 def _standardized(objective, A):
     # The objective of v, u = A v: its value, the gradient A^T grad(u)
-    # and, when asked, the Hessian A^T H(u) A
-    def of_v(v, hessian=False):
-        if not hessian:
-            val, grad = objective(A @ v)
-            return val, A.T @ grad
-        val, grad, hess = objective(A @ v, True)
-        return val, A.T @ grad, A.T @ hess @ A
+    # and, where the objective gives one, the Hessian A^T H(u) A
+    def of_v(v):
+        val, grad, *hess = objective(A @ v)
+        return (val, A.T @ grad, *(A.T @ h @ A for h in hess))
 
     return of_v
 
@@ -329,7 +326,7 @@ def _newton(of_v, v, lower, upper):
     def evaluate(v):
         nonlocal evals
         evals += 1
-        out = of_v(v, True)
+        out = of_v(v)
         if out[0] < best[0]:
             best[:] = out[0], v
         return out
@@ -368,7 +365,7 @@ def _newton(of_v, v, lower, upper):
 
 
 def _lbfgsb(of_v, v, lower, upper):
-    """L-BFGS-B from v on box bounds, run twice.
+    """L-BFGS-B from v on box bounds, run twice, on the value and gradient.
 
     One restart from the incumbent rescues runs whose line search stalls
     at a kink, such as the GEV support penalty.  A stalled run can end on
@@ -381,7 +378,7 @@ def _lbfgsb(of_v, v, lower, upper):
     best = [np.inf, v]
 
     def tracked(v):
-        val, grad = of_v(v)
+        val, grad = of_v(v)[:2]
         if val < best[0]:
             best[:] = val, np.array(v, dtype=float)
         return val, grad
@@ -396,14 +393,14 @@ def _lbfgsb(of_v, v, lower, upper):
     return best[1], float(best[0]), converged, evals
 
 
-def _mean_and_grad(per_case, grad, hess=None):
-    # Mean objective, its gradient (grad holds the sums over cases) and,
-    # if given, its Hessian (hess: the sum); a non-finite one is a wall
-    # the line search backs off
+def _mean_and_grad(per_case, *sums):
+    # The mean objective and the means of its derivatives, given as sums
+    # over cases (the gradient, then the Hessian where there is one); a
+    # non-finite part is a wall the line search backs off
     n = per_case.size
-    out = (float(np.mean(per_case)), grad / n) + (() if hess is None else (hess / n,))
+    out = (float(np.mean(per_case)), *(part / n for part in sums))
     if not all(np.all(np.isfinite(part)) for part in out):
-        return (_BIG,) + tuple(np.zeros_like(part) for part in out[1:])
+        return (_BIG, *(np.zeros_like(part) for part in out[1:]))
     return out
 
 
@@ -449,7 +446,7 @@ def _tn_objective(gs, s2, obs):
     """
     first, second = _link_columns(gs, s2)
 
-    def objective(u, hessian=False):
+    def objective(u):
         loc, var_raw = _links(u, gs, s2)
         on = var_raw > SCALE_FLOOR
         scale = np.sqrt(np.maximum(var_raw, SCALE_FLOOR))
@@ -457,8 +454,6 @@ def _tn_objective(gs, s2, obs):
             crps, (d_loc, d_scale), (h_ll, h_ls, h_ss) = _crps_tn_grad(loc, scale, obs)
             d_var = np.where(on, 0.5 * d_scale / scale, 0.0)
             grad = _links_grad(gs, s2, d_loc, d_var)
-            if not hessian:
-                return _mean_and_grad(crps, grad)
             h_lv = np.where(on, 0.5 * h_ls / scale, 0.0)
             h_vv = np.where(on, 0.25 * (h_ss - d_scale / scale) / (scale * scale), 0.0)
             return _mean_and_grad(crps, grad, _links_hess(first, second, h_ll, h_lv, h_vv))
@@ -481,7 +476,7 @@ def _ln_objective(gs, s2, obs):
     """
     first, second = _link_columns(gs, s2)
 
-    def objective(u, hessian=False):
+    def objective(u):
         mean_raw, var_raw = _links(u, gs, s2)
         on_mean, on_var = mean_raw > MEAN_FLOOR, var_raw > SCALE_FLOOR
         mean = np.maximum(mean_raw, MEAN_FLOOR)
@@ -498,8 +493,6 @@ def _ln_objective(gs, s2, obs):
             d_mean = np.where(on_mean, (d_mu + 2.0 * s * e) / mean, 0.0)
             d_var = np.where(on_var, -e / total, 0.0)
             grad = _links_grad(gs, s2, d_mean, d_var)
-            if not hessian:
-                return _mean_and_grad(crps, grad)
             c_mq = 0.5 * h_ms / sigma
             c_1b = c_mq - 0.5 * h_mm
             c_bb = 0.25 * h_mm - c_mq + 0.25 * (h_ss - d_sigma / sigma) / q
@@ -572,7 +565,7 @@ def _gev_objective(gs, fbar, obs):
 class _Family:
     params: type  # link coefficients: intercept, group weights, then the rest of u
     cold: object  # g -> cold-start params
-    objective: object  # (gs, second-link column, obs) -> value-and-gradient objective of u
+    objective: object  # (gs, second-link column, obs) -> objective of u: value, gradient[, Hessian]
     column: str  # the CaseRows column of the second link
     bounds: tuple  # bounds of the intercept, of each group weight, then of the rest
     floor: float  # floor of the first link, -inf where it has none

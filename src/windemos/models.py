@@ -137,9 +137,8 @@ def member_stats(x):
 
 
 def ensemble_stats(forecast):
-    """Mean, unbiased variance, and median of the members."""
-    members = forecast.members if isinstance(forecast, EnsembleForecast) else forecast
-    arr = np.asarray(members, dtype=float).ravel()
+    """Mean, unbiased variance, and median of an EnsembleForecast's members."""
+    arr = np.asarray(forecast.members, dtype=float)
     if arr.size < 2:
         raise InsufficientDataError("unbiased ensemble variance needs at least 2 members")
     mean, variance, median = member_stats(arr)

@@ -30,7 +30,6 @@ from scipy import special
 from .distributions import (
     GEV,
     LogNormal,
-    MeanVariance,
     TruncatedNormal,
     log_norm_cdf,
     log_norm_pdf,
@@ -126,7 +125,6 @@ _PARAMS = {
     TruncatedNormal: ("mu", "sigma"),
     LogNormal: ("mu", "sigma"),
     GEV: ("mu", "sigma", "xi"),
-    MeanVariance: ("m", "v"),
     Empirical: ("values",),
 }
 
@@ -151,8 +149,7 @@ class ForecastBatch:
     def of(cls, laws):
         """A list of scalar laws as a batch (a batch is returned as it is).
 
-        One part per family and sample size, MeanVariance pairs as
-        log-normal laws.
+        One part per family and sample size.
         """
         if isinstance(laws, ForecastBatch):
             return laws
@@ -167,7 +164,7 @@ class ForecastBatch:
             dtype = float if n is None else (float, n)
             params = ((getattr(d, a) for d in members) for a in _PARAMS[kind])
             law = kind(*(np.fromiter(p, dtype, len(rows)) for p in params))
-            parts.append((rows, law.to_lognormal() if kind is MeanVariance else law))
+            parts.append((rows, law))
         return cls(len(laws), parts)
 
     @classmethod
@@ -316,12 +313,7 @@ def _crps_ln_grad(mu, sigma, x):
 
 
 def crps_ln(d, x):
-    """Closed-form CRPS of a log-normal forecast.
-
-    Accepts log-scale parameters or a mean/variance pair.
-    """
-    if isinstance(d, MeanVariance):
-        d = d.to_lognormal()
+    """Closed-form CRPS of a log-normal forecast."""
     return _crps_ln_terms(d.mu, d.sigma, _check_obs(x))[0]
 
 
@@ -554,22 +546,17 @@ def crps_empirical(values, x):
 
 
 def twcrps(cdf, x, r):
-    """Threshold-weighted CRPS with indicator weight 1{y >= r}.
+    """Threshold-weighted CRPS with indicator weight 1{y >= r}, by quadrature.
 
-    Matches the CRPS when r = -inf.  `cdf` may be a CDF callable
-    (adaptive quadrature, the oracle) or an Empirical forecast, scored
-    exactly as the CRPS of its sample censored at r, observed at
-    max(x, r).
+    The oracle `twcrps_values` is tested against; no production path
+    calls it.  Matches the CRPS when r = -inf (or None).  `cdf` is a CDF
+    callable, as for `crps_numeric`.
     """
     x = float(_check_obs(x))
     if r is None or (np.isscalar(r) and not np.isfinite(r) and r < 0):
         r = None
     else:
         r = float(r)
-    if isinstance(cdf, Empirical):
-        if r is None:
-            return crps_empirical(cdf, x)
-        return crps_empirical(np.maximum(cdf.values, r), max(x, r))
     return _quad_segments(cdf, x, r=r)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GEV, LogNormal, TruncatedNormal
+from .distributions import GEV, MeanVariance, TruncatedNormal
 from .errors import InvalidParameterError
 from .models import EnsembleForecast, GroupSpec
 
@@ -84,7 +84,7 @@ def _family_draw(truth, center, sd, xi, rng, size):
     if truth == "tn":
         return TruncatedNormal(center, sd).sample(rng, size=size)
     if truth == "ln":
-        return LogNormal.from_mean_variance(center, sd * sd).sample(rng, size=size)
+        return MeanVariance(center, sd * sd).to_lognormal().sample(rng, size=size)
     if truth == "gev":
         draws = GEV(center, sd, xi).sample(rng, size=size)
         return np.maximum(draws, 0.0)

@@ -28,22 +28,11 @@ from .scoring import (
 )
 
 
-def rank_of_obs(members, obs, rng):
-    """Rank of the observation among members plus itself, 1..M+1.
+def ranks_of_obs(member_matrix, obs, rng):
+    """Rank 1..M+1 of each observation among its row of M members and itself.
 
     Ties are broken uniformly at random with the supplied generator.
     """
-    members = np.asarray(members, dtype=float)
-    if members.size == 0:
-        raise InvalidInputError("rank needs at least one member")
-    less = int(np.sum(members < obs))
-    ties = int(np.sum(members == obs))
-    offset = int(rng.integers(0, ties + 1)) if ties else 0
-    return less + 1 + offset
-
-
-def ranks_of_obs(member_matrix, obs, rng):
-    """Vectorized ranks for uniform-size forecasts, one row per case."""
     member_matrix = np.asarray(member_matrix, dtype=float)
     obs = np.asarray(obs, dtype=float)
     less = np.sum(member_matrix < obs[:, None], axis=1)
@@ -52,53 +41,13 @@ def ranks_of_obs(member_matrix, obs, rng):
     return (less + 1 + offsets).astype(int)
 
 
-@dataclass(frozen=True)
-class RankHistogram:
-    """Counts of observation ranks over classes 1..c."""
-
-    counts: tuple
-    c: int
-
-    def __post_init__(self):
-        counts = tuple(int(v) for v in self.counts)
-        if len(counts) != self.c or any(v < 0 for v in counts):
-            raise InvalidInputError("histogram needs c nonnegative class counts")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self):
-        return sum(self.counts)
-
-    @property
-    def frequencies(self):
-        total = self.total
-        if total == 0:
-            raise InvalidInputError("empty histogram")
-        return np.asarray(self.counts, dtype=float) / total
-
-    @classmethod
-    def from_ranks(cls, ranks, c):
-        ranks = np.asarray(ranks, dtype=int)
-        counts = np.bincount(ranks, minlength=c + 1)[1 : c + 1]
-        if np.any(ranks < 1) or np.any(ranks > c):
-            raise InvalidInputError("rank outside 1..c")
-        return cls(tuple(int(v) for v in counts), c)
-
-
-def reliability_index(h):
-    """L1 distance of the class frequencies from uniformity.
-
-    Accepts a RankHistogram or a raw count sequence.
-    """
-    if isinstance(h, RankHistogram):
-        freqs = h.frequencies
-    else:
-        counts = np.asarray(h, dtype=float)
-        if counts.size == 0 or counts.sum() == 0:
-            raise InvalidInputError("empty histogram")
-        freqs = counts / counts.sum()
-    c = freqs.size
-    return float(np.sum(np.abs(freqs - 1.0 / c)))
+def reliability_index(counts):
+    """L1 distance of a histogram's class frequencies from uniformity."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.size == 0 or counts.sum() == 0:
+        raise InvalidInputError("empty histogram")
+    freqs = counts / counts.sum()
+    return float(np.sum(np.abs(freqs - 1.0 / freqs.size)))
 
 
 def ensemble_coverage(members, obs):
@@ -274,7 +223,8 @@ def build_report(cases, forecasts, thresholds=None, alpha=None, seed=0, bins=Non
         ranks = less + 1 + rng.integers(0, ties + 1)
         class_count = int(size.max()) + 1
         if (size == size[0]).all():
-            counts = RankHistogram.from_ranks(ranks, class_count).counts
+            # The ranks lie in 1..class_count
+            counts = tuple(int(v) for v in np.bincount(ranks, minlength=class_count + 1)[1:])
         else:
             # Ranks out of different sample sizes n are binned through the
             # randomized PIT (rank - U)/(n + 1), U uniform on (0, 1]: with

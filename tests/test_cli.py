@@ -381,6 +381,13 @@ def test_exit_codes_for_input_problems(tmp_path):
     assert main(["simulate", out, "--days", "3", "--stations", "1", "--theta-star", "nan"]) == 1
 
 
+def test_a_grid_longer_than_the_data_exits_1_naming_the_day_count(tmp_path, caplog):
+    # grid_search decides; 30 days leave none after a 30-day window
+    data = _simulate(tmp_path)
+    assert main(["grid-search", str(data), "--train-days", "29..30:1"]) == 1
+    assert "dataset has 30 days with data; grid needs more than 30" in caplog.text
+
+
 @pytest.mark.parametrize(
     "argv,keys",
     [

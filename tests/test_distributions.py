@@ -5,6 +5,7 @@ genextreme with c = -xi), which use different parameterizations and
 code paths than the package.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -89,6 +90,41 @@ def test_tn_mean_under_deep_truncation(mu):
     # a roundoff of order eps |mu|
     d = TruncatedNormal(mu, 1.0)
     assert d.mean() == pytest.approx(-1.0 / mu - 2.0 / mu**3, abs=1e-15 * abs(mu))
+
+
+def _tn_sf_by_series(r, xs):
+    """1 - F of a truncated normal at x, r = mu/sigma far below 0 and xs = x/sigma.
+
+    1 - F = Phi(r - xs)/Phi(r), with Phi(t) = phi(t) m(t) for the Mills
+    ratio's asymptotic series m(t) = sum_k (-1)^k (2k - 1)!!/|t|^(2k + 1)
+    and phi(r - xs)/phi(r) = exp(-xs (xs/2 - r)); 12 terms reach 1e-36
+    at |t| >= 100.  In 40-digit decimals.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        r, xs = decimal.Decimal(r), decimal.Decimal(xs)
+
+        def mills(t):
+            total, term = 0, 1 / -t
+            for k in range(1, 13):
+                total, term = total + term, -term * (2 * k - 1) / (t * t)
+            return total
+
+        return (-xs * (xs / 2 - r)).exp() * mills(r - xs) / mills(r)
+
+
+@pytest.mark.parametrize("r", [-1e2, -1e4, -1e6])
+@pytest.mark.parametrize("c", [0.1, 3.0])
+@pytest.mark.parametrize("sigma", [1.0, 2.5])
+def test_tn_cdf_under_deep_truncation(r, c, sigma):
+    # The law is nearly exponential with rate |mu|/sigma^2; at x = c
+    # sigma^2/|mu|, F is 1 - e^-c.  A log-CDF difference of size r^2/2
+    # left F off by 4e-9 relative at r = -1e4 and by 8e-4 at -1e6
+    x = c * sigma / -r
+    got = TruncatedNormal(r * sigma, sigma).cdf(x)
+    sf = _tn_sf_by_series(r, x / sigma)
+    assert got == pytest.approx(float(1 - sf), rel=1e-12, abs=0.0)
+    assert 1.0 - got == pytest.approx(float(sf), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (6.0, 2.5), (-8.0, 3.0), (-30.0, 1.0), (50.0, 0.5)])

@@ -44,6 +44,7 @@ from windemos import (
     rolling_raw,
 )
 from windemos.estimation import (
+    _BIG,
     _FAMILY_TABLE,
     _XI_MAX,
     MIXTURES,
@@ -51,6 +52,8 @@ from windemos.estimation import (
     _lbfgsb,
     _links,
     _ln_objective,
+    _mean_and_grad,
+    _newton,
     _predict,
     _standardized,
     _standardizer,
@@ -456,6 +459,22 @@ def test_grid_search_mixture_requires_thetas():
         grid_search(ModelSpec("tn-ln", theta=6.0), G4, dataset, lengths=[6])
 
 
+def test_grid_search_needs_a_length_and_selection_days_with_history():
+    dataset = _daily_dataset(16)
+    with pytest.raises(InvalidInputError, match="at least one training length"):
+        grid_search(ModelSpec("tn"), G4, dataset, lengths=[])
+    # Days 0..5 have fewer than 6 prior days with data; day 20 has no data
+    early = [START + datetime.timedelta(days=i) for i in (0, 5, 20)]
+    with pytest.raises(InvalidInputError, match="no selection day has enough history"):
+        grid_search(ModelSpec("tn"), G4, dataset, lengths=[6], selection_days=early)
+
+
+def test_fit_switch_needs_a_mixture_spec():
+    window = _switch_window(np.random.default_rng(16), 30, 30, 6.0)
+    with pytest.raises(InvalidInputError, match="needs a mixture model spec"):
+        fit_switch(ModelSpec("tn"), G4, window)
+
+
 def test_training_window_validation():
     with pytest.raises(InvalidInputError):
         TrainingWindow(0, ())
@@ -493,7 +512,7 @@ def _central(objective, u, h):
 
 
 def _assert_gradient(objective, u, h=1e-6, rtol=1e-5):
-    _, grad = objective(u)
+    grad = objective(u)[1]
     want = _central(objective, u, h)
     np.testing.assert_allclose(grad, want, rtol=rtol, atol=rtol * np.max(np.abs(want)))
     return grad
@@ -744,6 +763,50 @@ def test_standardized_rolling_fits_need_under_30_evaluations(family, truth):
 # --- projected Newton on exact Hessians -------------------------------------
 
 
+def test_a_non_finite_mean_or_derivative_is_a_wall():
+    grad, hess = np.array([1.0, 2.0]), np.eye(2)
+    assert _mean_and_grad(np.array([1.0, 3.0]), grad, hess)[0] == 2.0
+    for per_case, sums in [
+        (np.array([1.0, np.inf]), (grad, hess)),
+        (np.array([1.0, 3.0]), (np.array([1.0, np.nan]), hess)),
+        (np.array([1.0, 3.0]), (grad, np.full((2, 2), np.inf))),
+        (np.array([np.nan, 3.0]), (grad,)),
+    ]:
+        out = _mean_and_grad(per_case, *sums)
+        assert len(out) == 1 + len(sums)
+        assert out[0] == _BIG
+        for part, total in zip(out[1:], sums):
+            np.testing.assert_array_equal(part, np.zeros_like(total))
+
+
+def test_gev_objective_walls_off_a_non_finite_location_or_shape():
+    gs, _, fbar, obs = _arrays(_gev_window(0.1))
+    objective = _gev_objective(gs, fbar, obs)
+    for u in (
+        [np.nan, 0.22, 0.6, 0.05, 0.1],
+        [0.4, -np.inf, 0.6, 0.05, 0.1],
+        [0.4, 0.22, 0.6, 0.05, np.inf],
+    ):
+        val, grad = objective(np.array(u))
+        assert val == _BIG
+        np.testing.assert_array_equal(grad, np.zeros(5))
+
+
+def test_newton_stops_non_converged_after_its_iterations(monkeypatch):
+    # sum(exp(v) - v) from v = 3 takes 5 Newton steps to its minimum at 0
+    def of_v(v):
+        return float(np.sum(np.exp(v) - v)), np.exp(v) - 1.0, np.diag(np.exp(v))
+
+    lower, upper = np.full(2, -np.inf), np.full(2, np.inf)
+    v, val, converged, evals = _newton(of_v, np.full(2, 3.0), lower, upper)
+    assert converged and np.max(np.abs(v)) < 1e-7
+    monkeypatch.setattr("windemos.estimation._NEWTON_MAXITER", 2)
+    v, val, converged, evals = _newton(of_v, np.full(2, 3.0), lower, upper)
+    assert not converged
+    assert evals == 3  # the start and two full steps
+    assert val == of_v(v)[0] < of_v(np.full(2, 3.0))[0]
+
+
 def _central_hessian(objective, u, h):
     # Central differences of the exact gradient, step h relative to |u_i| >= 1
     cols = []
@@ -777,16 +840,13 @@ def test_crps_objective_hessians_match_differences_of_the_gradient(family, u, h,
     if floored is not None:
         link, floor = floors[floored]
         assert np.any(link < floor) and np.any(link > floor)
-    val, grad, hess = objective(u, True)
-    # the same value and gradient as without the Hessian
-    assert val == objective(u)[0]
-    np.testing.assert_array_equal(grad, objective(u)[1])
+    hess = objective(u)[2]
     want = _central_hessian(objective, u, h)
     np.testing.assert_allclose(hess, want, rtol=1e-5, atol=1e-5 * np.max(np.abs(want)))
     # in v, u = A v, the Hessian is A^T H A
     A = _standardizer(gs, s2, u.size)
     np.testing.assert_allclose(
-        _standardized(objective, A)(np.linalg.solve(A, u), True)[2], A.T @ hess @ A, rtol=1e-12
+        _standardized(objective, A)(np.linalg.solve(A, u))[2], A.T @ hess @ A, rtol=1e-12
     )
 
 
@@ -859,8 +919,8 @@ def test_standardized_gradient_matches_central_differences_in_v(family):
     assert not np.allclose(A, np.eye(u.size))
     v = np.linalg.solve(A, u)
     of_v = _standardized(objective, A)
-    val, grad = of_v(v)
-    want_val, want_grad = objective(u)
+    val, grad = of_v(v)[:2]
+    want_val, want_grad = objective(u)[:2]
     assert val == pytest.approx(want_val, rel=1e-12)
     np.testing.assert_allclose(grad, A.T @ want_grad, rtol=1e-9)
     _assert_gradient(of_v, v)

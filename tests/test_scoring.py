@@ -67,12 +67,6 @@ def test_crps_ln_frozen(mu, sigma, x, expected):
     assert crps_ln(d, x) == pytest.approx(expected, rel=1e-8)
 
 
-def test_crps_ln_accepts_mean_variance():
-    mv = MeanVariance(3.0, 4.0)
-    direct = crps_ln(mv.to_lognormal(), 2.5)
-    assert crps_ln(mv, 2.5) == pytest.approx(direct, rel=1e-15)
-
-
 def _tn_grid():
     grid = []
     for mu in (-6.0, -1.0, 0.0, 2.0, 8.0):
@@ -211,16 +205,13 @@ def test_crps_empirical_translation_equivariance():
     ],
 )
 def test_twcrps_empirical_frozen(values, x, r, expected):
-    assert twcrps(Empirical(values), x, r) == pytest.approx(expected, abs=1e-14)
+    assert twcrps_values([Empirical(values)], [x], r)[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_twcrps_empirical_full_weight_equals_crps():
     v = [0.3, 1.1, 4.0, 4.0, 9.0]
     for x in (0.0, 2.0, 10.0):
-        assert twcrps(Empirical(v), x, -math.inf) == pytest.approx(
-            crps_empirical(v, x), rel=1e-13
-        )
-        assert twcrps(Empirical(v), x, None) == pytest.approx(
+        assert twcrps_values([Empirical(v)], [x], -math.inf)[0] == pytest.approx(
             crps_empirical(v, x), rel=1e-13
         )
 
@@ -302,7 +293,7 @@ def test_crps_values_dispatches_per_family():
         TruncatedNormal(2.0, 1.0),
         LogNormal(0.5, 0.6),
         GEV(4.0, 1.5, 0.1),
-        MeanVariance(3.0, 4.0),
+        MeanVariance(3.0, 4.0).to_lognormal(),
         TruncatedNormal(1.0, 0.5),
     ]
     obs = np.array([1.5, 2.0, 5.0, 2.5, 1.0])
@@ -475,7 +466,6 @@ def test_twcrps_empirical_matches_step_integral(seed):
         for y, val in zip(ys, got):
             assert val >= 0.0
             assert val == pytest.approx(_step_twcrps(v, y, r), abs=1e-12), (y, r)
-            assert twcrps(Empirical(v), y, r) == pytest.approx(val, abs=1e-12)
 
 
 def test_twcrps_tail_threshold_does_not_cancel():
@@ -590,21 +580,16 @@ def test_a_batch_scores_bit_identically_to_the_list_of_its_laws(make):
         )
 
 
-def test_a_list_with_mean_variance_laws_scores_as_its_batch():
-    mv = [MeanVariance(3.0, 4.0), MeanVariance(5.0, 1.5)]
-    laws = [TruncatedNormal(2.0, 1.0), mv[0], GEV(4.0, 1.5, 0.1), mv[1]]
-    batch = ForecastBatch.of(laws)
-    obs = np.array([1.5, 2.5, 5.0, 4.0])
-    assert [type(d) for d in batch.laws()] == [TruncatedNormal, LogNormal, GEV, LogNormal]
-    direct = ForecastBatch(4, [
-        ([0], TruncatedNormal(np.array([2.0]), np.array([1.0]))),
-        ([1, 3], MeanVariance(np.array([3.0, 5.0]), np.array([4.0, 1.5])).to_lognormal()),
-        ([2], GEV(np.array([4.0]), np.array([1.5]), np.array([0.1]))),
-    ])  # fmt: skip
-    for r in (-math.inf, 3.0):
-        want = twcrps_values(direct, obs, r)
-        np.testing.assert_array_equal(twcrps_values(laws, obs, r), want)
-        np.testing.assert_array_equal(twcrps_values(batch, obs, r), want)
+def test_a_mean_variance_pair_is_not_a_forecast():
+    # A log-normal forecast is a LogNormal law; MeanVariance only converts
+    laws = [TruncatedNormal(2.0, 1.0), MeanVariance(3.0, 4.0)]
+    for score in (
+        lambda: ForecastBatch.of(laws),
+        lambda: crps_values(laws, [1.5, 2.5]),
+        lambda: twcrps_values(laws, [1.5, 2.5], 3.0),
+    ):
+        with pytest.raises(InvalidInputError, match="unsupported predictive law MeanVariance"):
+            score()
 
 
 def _params_of(d):

@@ -14,7 +14,6 @@ from windemos import (
     InvalidInputError,
     LogNormal,
     MeanVariance,
-    RankHistogram,
     TruncatedNormal,
     build_report,
     central_interval,
@@ -24,7 +23,6 @@ from windemos import (
     nominal_coverage,
     pit,
     pit_histogram,
-    rank_of_obs,
     ranks_of_obs,
     reliability_index,
 )
@@ -33,12 +31,9 @@ DAY = datetime.date(2024, 5, 1)
 
 
 def test_rank_without_ties_is_deterministic():
-    members = [3.0, 1.0, 5.0, 7.0]
-    rng = np.random.default_rng(0)
-    assert rank_of_obs(members, 0.5, rng) == 1
-    assert rank_of_obs(members, 2.0, rng) == 2
-    assert rank_of_obs(members, 6.0, rng) == 4
-    assert rank_of_obs(members, 9.0, rng) == 5
+    members = np.tile([3.0, 1.0, 5.0, 7.0], (4, 1))
+    ranks = ranks_of_obs(members, [0.5, 2.0, 6.0, 9.0], np.random.default_rng(0))
+    np.testing.assert_array_equal(ranks, [1, 2, 4, 5])
 
 
 def test_rank_ties_resolve_uniformly_over_the_block():
@@ -60,17 +55,6 @@ def test_rank_ties_are_seed_deterministic():
     b = ranks_of_obs(members, obs, np.random.default_rng(7))
     np.testing.assert_array_equal(a, b)
     assert set(np.unique(a)) <= {1, 2, 3}
-
-
-def test_rank_histogram_from_ranks():
-    hist = RankHistogram.from_ranks([1, 1, 2, 5, 5, 5], c=5)
-    assert hist.counts == (2, 1, 0, 0, 3)
-    assert hist.total == 6
-    np.testing.assert_allclose(hist.frequencies, [2 / 6, 1 / 6, 0, 0, 3 / 6])
-    with pytest.raises(InvalidInputError):
-        RankHistogram.from_ranks([0], c=4)
-    with pytest.raises(InvalidInputError):
-        RankHistogram.from_ranks([5], c=4)
 
 
 def test_reliability_index_exact_values():
@@ -287,8 +271,8 @@ def test_build_report_respects_custom_thresholds_alpha_bins():
 
 
 def test_a_mixed_batch_reports_bit_identically_to_the_list_of_its_laws():
-    # TN, LN and GEV laws in interleaved rows, one LN part given in the
-    # list as MeanVariance pairs
+    # TN, LN and GEV laws in interleaved rows, one LN part built from
+    # mean/variance pairs
     n = 30
     rng = np.random.default_rng(12)
     rows = rng.permutation(n)
@@ -303,8 +287,6 @@ def test_a_mixed_batch_reports_bit_identically_to_the_list_of_its_laws():
     ])  # fmt: skip
     laws = batch.laws()
     obs = np.array([d.sample(rng) for d in laws]).clip(0.0)
-    for i, row in enumerate(mv):
-        laws[row] = MeanVariance(m[i], v[i])
     cases = _cases(rng.uniform(2.0, 8.0, size=(n, 8)), obs)
     want = build_report(cases, laws, model="tn-ln").to_dict()
     assert build_report(cases, batch, model="tn-ln").to_dict() == want
@@ -325,7 +307,7 @@ def test_an_empirical_batch_reports_in_case_order_with_seeded_tie_breaks():
     report = build_report(cases, batch, seed=3)
     assert report.to_dict() == build_report(cases, laws, seed=3).to_dict()
     ranks = ranks_of_obs(sorted_rows, obs, np.random.default_rng(3))
-    assert report.histogram_counts == RankHistogram.from_ranks(ranks, 7).counts
+    assert report.histogram_counts == tuple(np.bincount(ranks, minlength=8)[1:])
 
 
 def test_empirical_laws_of_two_sample_sizes_bin_their_randomized_pits():
