@@ -46,6 +46,7 @@ from windemos import (
 from windemos.estimation import (
     _BIG,
     _FAMILY_TABLE,
+    _SUPPORT_PENALTY,
     _XI_MAX,
     MIXTURES,
     _gev_objective,
@@ -689,18 +690,25 @@ def _oracle(family, window):
 
 def test_gev_cases_far_in_a_floored_tail_cost_the_penalty():
     # On this 24-case window an early step floors every scale, where the
-    # cases far below the location would cost up to 1e72; priced at the
-    # penalty, that step no longer ends the fit 0.5 above the simplex.
-    # Its optimum sits on the scale floor, a kink, hence the looser gate
+    # cases far below the location would cost up to 1e72.  Each case whose
+    # negative log-density reaches the penalty costs the penalty plus its
+    # violation instead, so the step's value stays near the penalty
     g = GroupSpec((8,))
     data = generate(ScenarioConfig(days=30, stations=3, group_spec=g, truth="switching", seed=2))
     end = START + datetime.timedelta(days=8)
     window = TrainingWindow(8, tuple(c for c in data if c.date < end))
     gs, _, fbar, obs = _arrays(window, g)
     objective = _gev_objective(gs, fbar, obs)
-    assert objective(np.array([-0.02, 0.34, 0.4, -2.0, -0.05]))[0] < 2e6
-    simplex = _nelder_mead(objective, [0.0, 0.125, 1.0, 1.0, 0.05], slice(0, 0))
-    assert fit_gev_ml(g, window).objective < simplex + 1e-3
+    u = np.array([-0.02, 0.34, 0.4, -2.0, -0.05])
+    assert objective(u)[0] < 2e6
+    loc, sigma = u[0] + u[1] * gs[:, 0], np.maximum(u[2] + u[3] * fbar, SCALE_FLOOR)
+    with np.errstate(all="ignore"):
+        nll = -GEV(loc, sigma, u[4]).logpdf(obs)
+    t = 1.0 + u[4] * (obs - loc) / sigma
+    capped = nll >= _SUPPORT_PENALTY
+    assert np.any(capped & (t > 0.0))  # inside the support, yet capped
+    want = np.where(capped, _SUPPORT_PENALTY + np.maximum(-t, 0.0), nll)
+    assert objective(u)[0] == pytest.approx(np.mean(want), rel=1e-14)
 
 
 def test_gradient_fit_reaches_the_nelder_mead_objective():
