@@ -11,13 +11,13 @@ Newton; every GEV fit runs L-BFGS-B with one restart from the
 incumbent.  Each family has that one optimizer.  The bounds keep the TN
 and LN weights and variance coefficients nonnegative and the GEV shape
 below 1, where the predictive mean and CRPS exist.  Both optimizers
-work in standardized coordinates, built once per training window: each
-group weight acts on its group-sum column centred and divided by its
-spread, and the variance (GEV scale) slope on s2 (fbar) divided by its
-RMS.  The map is linear and scales every bounded coordinate by a
-positive factor alone, so the bounds keep their form; it roughly halves
-L-BFGS-B's evaluations per fit.  `_FAMILY_TABLE` declares each family
-once, and both public fits share one body.
+work in standardized coordinates v, whose link columns `_design` builds
+once per training window and the objectives read: each group weight
+acts on its group-sum column centred and divided by its spread, and the
+variance (GEV scale) slope on s2 (fbar) divided by its RMS.  The map A
+of u = A v, applied to the start and the result only, scales every
+bounded coordinate by a positive factor alone, so the bounds keep their
+form.  `_FAMILY_TABLE` declares each family once; both public fits share one body.
 
 A dataset is parsed once into a `CaseTable`: its cases sorted by date,
 with the columns every link and fit reads (`CaseRows`).  Rolling
@@ -260,8 +260,8 @@ def default_gev_params(g):
     return GevParams(0.0, (1.0 / g.total,) * g.m, 1.0, 1.0, 0.05)
 
 
-def _standardizer(gs, x, n):
-    """The matrix A of u = A v that puts a window's link columns on one scale.
+def _design(gs, x, n):
+    """A window's link columns in standardized coordinates v, and A of u = A v.
 
     In v each group weight multiplies its `gs` column centred on its mean
     and divided by its spread, the mean folded into the intercept
@@ -280,17 +280,7 @@ def _standardizer(gs, x, n):
     A[0, 1 : 1 + m] = -center / spread
     A[1 : 1 + m, 1 : 1 + m] = np.diag(1.0 / spread)
     A[2 + m, 2 + m] = 1.0 / rms if rms > _FLAT else 1.0
-    return A
-
-
-def _standardized(objective, A):
-    # The objective of v, u = A v: its value, the gradient A^T grad(u)
-    # and, where the objective gives one, the Hessian A^T H(u) A
-    def of_v(v):
-        val, grad, *hess = objective(A @ v)
-        return (val, A.T @ grad, *(A.T @ h @ A for h in hess))
-
-    return of_v
+    return (*_link_columns((gs - center) / spread, x * A[2 + m, 2 + m]), A)
 
 
 def _newton_step(hess, grad):
@@ -404,69 +394,66 @@ def _mean_and_grad(per_case, *sums):
     return out
 
 
-def _links(u, gs, x):
-    # The two linear links of u = (intercept, group weights, c0, c1, ...)
-    # before their floors: intercept + gs @ weights and c0 + c1 x
-    m = gs.shape[1]
-    return u[0] + gs @ u[1 : 1 + m], u[1 + m] + u[2 + m] * x
-
-
-def _links_grad(gs, x, d_first, d_second):
-    # Per-case derivatives in the two links, chained back to their
-    # coefficients and summed over cases
-    return np.concatenate([[np.sum(d_first)], d_first @ gs, [np.sum(d_second), d_second @ x]])
-
-
-def _links_hess(first, second, h11, h12, h22):
-    # J^T W J summed over cases: each case's 2x2 Hessian in its two links
-    # chained back to their coefficients, whose columns (the links'
-    # derivatives, [1, gs] and [1, x]) are `first` and `second`
-    k = first.shape[1]
-    hess = np.empty((k + 2, k + 2))
-    hess[:k, :k] = first.T @ (h11[:, None] * first)
-    hess[:k, k:] = first.T @ (h12[:, None] * second)
-    hess[k:, :k] = hess[:k, k:].T
-    hess[k:, k:] = second.T @ (h22[:, None] * second)
-    return hess
-
-
 def _link_columns(gs, x):
     # The derivatives of the two links in their coefficients, one row per case
     ones = np.ones((x.size, 1))
     return np.hstack([ones, gs]), np.hstack([ones, x[:, None]])
 
 
-def _tn_objective(gs, s2, obs):
-    """Mean TN CRPS of u = (a0, a, b0, b1), with its gradient and Hessian.
+def _links(v, first, second):
+    # The two linear links of v on their columns, before their floors
+    k = first.shape[1]
+    return first @ v[:k], second @ v[k : k + 2]
 
-    The scale is sqrt(var), var the floored second link, so in var the
+
+def _chain(first, second, d1, d2, *hess):
+    # Per-case derivatives in the two links chained back to their
+    # coefficients, whose columns are `first` and `second`, and summed
+    # over cases: the gradient J^T d and, given each case's 2x2 Hessian
+    # (h11, h12, h22) in its two links, J^T W J
+    out = [np.concatenate([d1 @ first, d2 @ second])]
+    if hess:
+        h11, h12, h22 = hess
+        k = first.shape[1]
+        out.append(np.empty((k + 2, k + 2)))
+        out[1][:k, :k] = first.T @ (h11[:, None] * first)
+        out[1][:k, k:] = first.T @ (h12[:, None] * second)
+        out[1][k:, :k] = out[1][:k, k:].T
+        out[1][k:, k:] = second.T @ (h22[:, None] * second)
+    return out
+
+
+def _tn_objective(first, second, obs):
+    """Mean TN CRPS of the link coefficients, with its gradient and Hessian.
+
+    The links, on the columns `first` and `second`, are the location and
+    the variance var.  The scale is sqrt(var), var floored, so in var the
     derivatives are d_sigma/(2 sigma) and (h_sigma_sigma - d_sigma/sigma)
     /(4 sigma^2), and the mixed one h_mu_sigma/(2 sigma); on the floor
     all three are 0.
     """
-    first, second = _link_columns(gs, s2)
 
-    def objective(u):
-        loc, var_raw = _links(u, gs, s2)
-        on = var_raw > SCALE_FLOOR
-        scale = np.sqrt(np.maximum(var_raw, SCALE_FLOOR))
+    def objective(v):
         with np.errstate(all="ignore"):
+            loc, var_raw = _links(v, first, second)
+            on = var_raw > SCALE_FLOOR
+            scale = np.sqrt(np.maximum(var_raw, SCALE_FLOOR))
             crps, (d_loc, d_scale), (h_ll, h_ls, h_ss) = _crps_tn_grad(loc, scale, obs)
             d_var = np.where(on, 0.5 * d_scale / scale, 0.0)
-            grad = _links_grad(gs, s2, d_loc, d_var)
             h_lv = np.where(on, 0.5 * h_ls / scale, 0.0)
             h_vv = np.where(on, 0.25 * (h_ss - d_scale / scale) / (scale * scale), 0.0)
-            return _mean_and_grad(crps, grad, _links_hess(first, second, h_ll, h_lv, h_vv))
+            return _mean_and_grad(crps, *_chain(first, second, d_loc, d_var, h_ll, h_lv, h_vv))
 
     return objective
 
 
-def _ln_objective(gs, s2, obs):
-    """Mean LN CRPS of u = (alpha0, alpha, beta0, beta1), with its gradient and Hessian.
+def _ln_objective(first, second, obs):
+    """Mean LN CRPS of the link coefficients, with its gradient and Hessian.
 
-    The links are the mean M and the variance V of the law.  With
-    T = M^2 + V and s = V/T, its log-scale parameters are q = sigma^2 =
-    log T - 2 log M and mu = log M - q/2, so M d/dM moves (mu, q) along
+    The links, on the columns `first` and `second`, are the mean M and
+    the variance V of the law.  With T = M^2 + V and s = V/T, its
+    log-scale parameters are q = sigma^2 = log T - 2 log M and
+    mu = log M - q/2, so M d/dM moves (mu, q) along
     (1 + s, -2s) and T d/dV along b = (-1/2, 1).  With c the CRPS
     derivatives in (mu, q), e = c_mu/2 - c_q, c_bb the second derivative
     along b and c_1b that along mu and b: M dCRPS/dM = c_mu + 2 s e,
@@ -474,17 +461,16 @@ def _ln_objective(gs, s2, obs):
     - 2 s (3 - 2s) e, M T d2/dM dV = c_1b - 2 s c_bb + 2 (1 - s) e and
     T^2 d2/dV2 = c_bb + e.  A floored link contributes 0.
     """
-    first, second = _link_columns(gs, s2)
 
-    def objective(u):
-        mean_raw, var_raw = _links(u, gs, s2)
-        on_mean, on_var = mean_raw > MEAN_FLOOR, var_raw > SCALE_FLOOR
-        mean = np.maximum(mean_raw, MEAN_FLOOR)
-        var = np.maximum(var_raw, SCALE_FLOOR)
-        total = mean * mean + var
-        q = np.log1p(var / (mean * mean))
-        sigma = np.sqrt(q)
+    def objective(v):
         with np.errstate(all="ignore"):
+            mean_raw, var_raw = _links(v, first, second)
+            on_mean, on_var = mean_raw > MEAN_FLOOR, var_raw > SCALE_FLOOR
+            mean = np.maximum(mean_raw, MEAN_FLOOR)
+            var = np.maximum(var_raw, SCALE_FLOOR)
+            total = mean * mean + var
+            q = np.log1p(var / (mean * mean))
+            sigma = np.sqrt(q)
             crps, (d_mu, d_sigma), (h_mm, h_ms, h_ss) = _crps_ln_grad(
                 np.log(mean) - 0.5 * q, sigma, obs
             )
@@ -492,7 +478,6 @@ def _ln_objective(gs, s2, obs):
             e = 0.5 * (d_mu - d_sigma / sigma)
             d_mean = np.where(on_mean, (d_mu + 2.0 * s * e) / mean, 0.0)
             d_var = np.where(on_var, -e / total, 0.0)
-            grad = _links_grad(gs, s2, d_mean, d_var)
             c_mq = 0.5 * h_ms / sigma
             c_1b = c_mq - 0.5 * h_mm
             c_bb = 0.25 * h_mm - c_mq + 0.25 * (h_ss - d_sigma / sigma) / q
@@ -501,7 +486,7 @@ def _ln_objective(gs, s2, obs):
             h11 = np.where(on_mean, h11 / (mean * mean), 0.0)
             h12 = np.where(on_mean & on_var, h12 / (mean * total), 0.0)
             h22 = np.where(on_var, (c_bb + e) / (total * total), 0.0)
-            return _mean_and_grad(crps, grad, _links_hess(first, second, h11, h12, h22))
+            return _mean_and_grad(crps, *_chain(first, second, d_mean, d_var, h11, h12, h22))
 
     return objective
 
@@ -526,25 +511,27 @@ def _gev_nll_grad(z, t, sigma, xi):
     return -k / sigma, (1.0 - z * k) / sigma, d_xi
 
 
-def _gev_objective(gs, fbar, obs):
-    """Mean GEV negative log-likelihood of u = (gamma0, gamma, sigma0, sigma1, xi).
+def _gev_objective(first, second, obs):
+    """Mean GEV negative log-likelihood of the link coefficients and xi.
 
-    Training cases outside the support of a proposed parameter set cost
-    a large finite penalty plus the violation magnitude, steering the fit
-    back to feasibility.  A case inside the support whose negative
-    log-density exceeds the penalty (a floored scale far from its
-    observation reaches 1e72) costs the penalty too, so no trial step
-    returns a value that derails the line search.
+    The links, on the columns `first` and `second`, are the location and
+    the scale; the shape xi is the last coordinate.  Training cases
+    outside the support of a proposed parameter set cost a large finite
+    penalty plus the violation magnitude, steering the fit back to
+    feasibility.  A case inside the support whose negative log-density
+    exceeds the penalty (a floored scale far from its observation
+    reaches 1e72) costs the penalty too, so no trial step returns a
+    value that derails the line search.
     """
 
-    def objective(u):
-        loc, scale_raw = _links(u, gs, fbar)
-        sigma, xi = np.maximum(scale_raw, SCALE_FLOOR), float(u[-1])
-        if not (np.all(np.isfinite(loc)) and np.isfinite(xi)):
-            return _BIG, np.zeros_like(u)
-        z = (obs - loc) / sigma
-        t = 1.0 + xi * z
+    def objective(v):
         with np.errstate(all="ignore"):
+            loc, scale_raw = _links(v, first, second)
+            sigma, xi = np.maximum(scale_raw, SCALE_FLOOR), float(v[-1])
+            if not (np.all(np.isfinite(loc)) and np.isfinite(xi)):
+                return _BIG, np.zeros_like(v)
+            z = (obs - loc) / sigma
+            t = 1.0 + xi * z
             nll = -GEV(loc, sigma, xi).logpdf(obs)
             d_loc, d_sigma, d_xi = _gev_nll_grad(z, t, sigma, xi)
             feasible = nll < _SUPPORT_PENALTY
@@ -555,8 +542,8 @@ def _gev_objective(gs, fbar, obs):
             d_sigma = np.where(feasible, d_sigma, np.where(outside, xi * z / sigma, 0.0))
             d_sigma = np.where(scale_raw > SCALE_FLOOR, d_sigma, 0.0)
             d_xi = np.where(feasible, d_xi, np.where(outside, -z, 0.0))
-            grad = np.append(_links_grad(gs, fbar, d_loc, d_sigma), np.sum(d_xi))
-            return _mean_and_grad(per_case, grad)
+            (grad,) = _chain(first, second, d_loc, d_sigma)
+            return _mean_and_grad(per_case, np.append(grad, np.sum(d_xi)))
 
     return objective
 
@@ -565,7 +552,7 @@ def _gev_objective(gs, fbar, obs):
 class _Family:
     params: type  # link coefficients: intercept, group weights, then the rest of u
     cold: object  # g -> cold-start params
-    objective: object  # (gs, second-link column, obs) -> objective of u: value, gradient[, Hessian]
+    objective: object  # (first, second link columns, obs) -> objective: value, gradient[, Hessian]
     column: str  # the CaseRows column of the second link
     bounds: tuple  # bounds of the intercept, of each group weight, then of the rest
     floor: float  # floor of the first link, -inf where it has none
@@ -609,21 +596,21 @@ def _vector(family, m, p):
 def _fit_family(family, g, rows, init):
     """The body of both public fits: a family fitted on training rows.
 
-    Packs `init` (None: the cold start) into u, runs the family's optimizer
-    in the window's standardized coordinates v of u = A v (`_standardizer`,
-    which keeps each bound's form), unpacks A v, and flags a floored link.
+    Packs `init` (None: the cold start) into u, maps it to the window's
+    standardized coordinates v of u = A v (`_design`, which keeps each
+    bound's form), runs the family's optimizer on the objective of the
+    window's columns in v, flags a floored link and unpacks A v.
     """
     fam = _FAMILY_TABLE[family]
-    m, x = g.m, getattr(rows, fam.column)
-    u0, lower, upper = _vector(family, m, fam.cold(g) if init is None else init)
-    A = _standardizer(rows.gs, x, u0.size)
-    of_v = _standardized(fam.objective(rows.gs, x, rows.obs), A)
+    u0, lower, upper = _vector(family, g.m, fam.cold(g) if init is None else init)
+    first, second, A = _design(rows.gs, getattr(rows, fam.column), u0.size)
     v0 = np.clip(np.linalg.solve(A, u0), lower, upper)
-    v, fun, converged, evals = fam.optimizer(of_v, v0, lower, upper)
+    objective = fam.objective(first, second, rows.obs)
+    v, fun, converged, evals = fam.optimizer(objective, v0, lower, upper)
+    loc, scale = _links(v, first, second)
+    boundary = bool(np.any(loc < fam.floor) or np.any(scale < SCALE_FLOOR))
     u = A @ v
-    first, second = _links(u, rows.gs, x)
-    boundary = bool(np.any(first < fam.floor) or np.any(second < SCALE_FLOOR))
-    params = fam.params(u[0], tuple(u[1 : 1 + m]), *u[1 + m :])
+    params = fam.params(u[0], tuple(u[1 : 1 + g.m]), *u[1 + g.m :])
     return FitResult(params, fun, converged, evals, boundary)
 
 
@@ -651,7 +638,7 @@ def fit_gev_ml(g, window, init=None):
     rows = _training_rows(window, g)
     if init is not None:
         u0 = _vector("gev", g.m, init)[0]
-        loc, scale_raw = _links(u0, rows.gs, rows.fbar)
+        loc, scale_raw = _links(u0, *_link_columns(rows.gs, rows.fbar))
         # Per training case: is its likelihood at the start finite
         inside = np.zeros(len(rows), dtype=bool)
         if np.all(np.isfinite(loc)):

@@ -51,13 +51,13 @@ from windemos.estimation import (
     MIXTURES,
     _gev_objective,
     _lbfgsb,
+    _design,
+    _link_columns,
     _links,
     _ln_objective,
     _mean_and_grad,
     _newton,
     _predict,
-    _standardized,
-    _standardizer,
     _tn_objective,
     _training_rows,
 )
@@ -539,14 +539,14 @@ def test_crps_objective_gradients_match_central_differences(family):
     gs, s2, _, obs = _arrays(_crps_window())
     assert np.any(obs == 0.0)
     make = _tn_objective if family == "tn" else _ln_objective
-    _assert_gradient(make(gs, s2, obs), np.array([0.3, 0.2, 0.7, 1.1]))
+    _assert_gradient(make(*_link_columns(gs, s2), obs), np.array([0.3, 0.2, 0.7, 1.1]))
 
 
 def test_tn_objective_gradient_under_deep_truncation():
     # mu/sigma = -40 on every case: the closed forms are log-domain ratios,
     # and central differences need a wider step to keep their own digits
     gs, s2, _, obs = _arrays(_crps_window())
-    objective = _tn_objective(gs, s2, obs)
+    objective = _tn_objective(*_link_columns(gs, s2), obs)
     u = np.array([-40.0, 0.0, 1.0, 0.0])
     assert np.isfinite(objective(u)[0])
     _assert_gradient(objective, u, h=1e-4)
@@ -556,7 +556,7 @@ def test_tn_objective_gradient_under_deep_truncation():
 def test_scale_floor_zeroes_the_variance_gradient(family):
     gs, s2, _, obs = _arrays(_crps_window())
     make = _tn_objective if family == "tn" else _ln_objective
-    grad = _assert_gradient(make(gs, s2, obs), np.array([0.3, 0.2, 1e-6, 1e-7]))
+    grad = _assert_gradient(make(*_link_columns(gs, s2), obs), np.array([0.3, 0.2, 1e-6, 1e-7]))
     assert grad[2] == 0.0 and grad[3] == 0.0
 
 
@@ -566,7 +566,7 @@ def test_ln_mean_floor_zeroes_the_gradient_of_floored_cases():
     u = np.array([-4.0, 0.2, 0.7, 1.1])
     mean_raw = u[0] + gs[:, 0] * u[1]
     assert np.any(mean_raw < 1e-3) and np.any(mean_raw > 1e-3)
-    _assert_gradient(_ln_objective(gs, s2, obs), u)
+    _assert_gradient(_ln_objective(*_link_columns(gs, s2), obs), u)
 
 
 def _gev_window(xi, seed=32):
@@ -580,7 +580,8 @@ def test_gev_objective_gradient_matches_central_differences(xi):
     gs, _, fbar, obs = _arrays(_gev_window(xi))
     u = np.array([0.4, 0.22, 0.6, 0.05, xi])
     # steps stay off the Gumbel switch at |xi| = 1e-6
-    _assert_gradient(_gev_objective(gs, fbar, obs), u, h=1e-7 if abs(xi) < 1e-3 else 1e-6)
+    objective = _gev_objective(*_link_columns(gs, fbar), obs)
+    _assert_gradient(objective, u, h=1e-7 if abs(xi) < 1e-3 else 1e-6)
 
 
 def test_gev_scale_floor_passes_no_gradient():
@@ -588,7 +589,7 @@ def test_gev_scale_floor_passes_no_gradient():
     gs, _, fbar, obs = _arrays(_gev_window(0.0))
     u = np.array([0.4, 0.22, -3.0, 0.6, 0.1])
     assert np.any(u[2] + u[3] * fbar < 1e-4)
-    _assert_gradient(_gev_objective(gs, fbar, obs), u)
+    _assert_gradient(_gev_objective(*_link_columns(gs, fbar), obs), u)
 
 
 @pytest.mark.parametrize("xi", [5e-7, -5e-7])
@@ -597,7 +598,7 @@ def test_gev_gradient_on_the_gumbel_branch_is_the_limit_of_the_score(xi):
     # xi; the loc/scale gradient is its own, and the xi-derivative is the
     # limit of the general one, so it matches differences just outside
     gs, _, fbar, obs = _arrays(_gev_window(0.0))
-    objective = _gev_objective(gs, fbar, obs)
+    objective = _gev_objective(*_link_columns(gs, fbar), obs)
     u = np.array([0.4, 0.22, 0.6, 0.05, xi])
     _, grad = objective(u)
     want = _central(objective, u, 1e-7)
@@ -613,7 +614,7 @@ def test_gev_penalty_gradient_pushes_back_into_the_support():
     # A high location puts every case below the lower endpoint; each costs
     # a constant plus its violation -t, whose gradient leads back inside
     gs, _, fbar, obs = _arrays(_gev_window(0.0))
-    objective = _gev_objective(gs, fbar, obs)
+    objective = _gev_objective(*_link_columns(gs, fbar), obs)
     u = np.array([10.0, 0.22, 0.6, 0.05, 0.5])
     assert objective(u)[0] > 1e6
     grad = _assert_gradient(objective, u)
@@ -649,13 +650,14 @@ def test_fit_returns_the_best_point_it_evaluated():
     )
     window = TrainingWindow(8, cases)
     gs, _, fbar, obs = _arrays(window, g)
-    objective = _gev_objective(gs, fbar, obs)
+    objective = _gev_objective(*_link_columns(gs, fbar), obs)
     cold = default_gev_params(g)
     start = objective(np.array([cold.gamma0, *cold.gamma, cold.sigma0, cold.sigma1, cold.xi]))[0]
     fit = fit_gev_ml(g, window)
     p = fit.params
     assert fit.objective < start
-    assert fit.objective == objective(np.array([p.gamma0, *p.gamma, p.sigma0, p.sigma1, p.xi]))[0]
+    u = np.array([p.gamma0, *p.gamma, p.sigma0, p.sigma1, p.xi])
+    assert fit.objective == pytest.approx(objective(u)[0], rel=1e-13)
 
 
 # --- the gradient fit against a Nelder-Mead oracle --------------------------
@@ -683,9 +685,9 @@ def _oracle(family, window):
     gs, s2, fbar, obs = _arrays(window)
     if family == "gev":
         u0 = [0.0, 0.25, 1.0, 1.0, 0.05]
-        return _nelder_mead(_gev_objective(gs, fbar, obs), u0, slice(0, 0))
+        return _nelder_mead(_gev_objective(*_link_columns(gs, fbar), obs), u0, slice(0, 0))
     make = _tn_objective if family == "tn" else _ln_objective
-    return _nelder_mead(make(gs, s2, obs), [0.0, 0.25, 1.0, 1.0], slice(1, None))
+    return _nelder_mead(make(*_link_columns(gs, s2), obs), [0.0, 0.25, 1.0, 1.0], slice(1, None))
 
 
 def test_gev_cases_far_in_a_floored_tail_cost_the_penalty():
@@ -698,7 +700,7 @@ def test_gev_cases_far_in_a_floored_tail_cost_the_penalty():
     end = START + datetime.timedelta(days=8)
     window = TrainingWindow(8, tuple(c for c in data if c.date < end))
     gs, _, fbar, obs = _arrays(window, g)
-    objective = _gev_objective(gs, fbar, obs)
+    objective = _gev_objective(*_link_columns(gs, fbar), obs)
     u = np.array([-0.02, 0.34, 0.4, -2.0, -0.05])
     assert objective(u)[0] < 2e6
     loc, sigma = u[0] + u[1] * gs[:, 0], np.maximum(u[2] + u[3] * fbar, SCALE_FLOOR)
@@ -789,11 +791,12 @@ def test_a_non_finite_mean_or_derivative_is_a_wall():
 
 def test_gev_objective_walls_off_a_non_finite_location_or_shape():
     gs, _, fbar, obs = _arrays(_gev_window(0.1))
-    objective = _gev_objective(gs, fbar, obs)
+    objective = _gev_objective(*_link_columns(gs, fbar), obs)
     for u in (
         [np.nan, 0.22, 0.6, 0.05, 0.1],
         [0.4, -np.inf, 0.6, 0.05, 0.1],
         [0.4, 0.22, 0.6, 0.05, np.inf],
+        [1e308, 1e308, 0.6, 0.05, 0.1],  # the location link overflows
     ):
         val, grad = objective(np.array(u))
         assert val == _BIG
@@ -839,7 +842,7 @@ def _central_hessian(objective, u, h):
 )
 def test_crps_objective_hessians_match_differences_of_the_gradient(family, u, h, floored):
     gs, s2, _, obs = _arrays(_crps_window())
-    objective = (_tn_objective if family == "tn" else _ln_objective)(gs, s2, obs)
+    objective = (_tn_objective if family == "tn" else _ln_objective)(*_link_columns(gs, s2), obs)
     u = np.array(u)
     floors = {
         "variance": (u[2] + u[3] * s2, SCALE_FLOOR),
@@ -852,10 +855,9 @@ def test_crps_objective_hessians_match_differences_of_the_gradient(family, u, h,
     want = _central_hessian(objective, u, h)
     np.testing.assert_allclose(hess, want, rtol=1e-5, atol=1e-5 * np.max(np.abs(want)))
     # in v, u = A v, the Hessian is A^T H A
-    A = _standardizer(gs, s2, u.size)
-    np.testing.assert_allclose(
-        _standardized(objective, A)(np.linalg.solve(A, u))[2], A.T @ hess @ A, rtol=1e-12
-    )
+    first, second, A = _design(gs, s2, u.size)
+    of_v = (_tn_objective if family == "tn" else _ln_objective)(first, second, obs)
+    np.testing.assert_allclose(of_v(np.linalg.solve(A, u))[2], A.T @ hess @ A, rtol=1e-12)
 
 
 def _seed7_calibration(family):
@@ -905,28 +907,29 @@ def test_newton_alone_converges_on_a_one_case_window(family):
 
 
 def _floored_problem(family):
-    # An objective, its link columns and a u with the variance (GEV:
+    # An objective's maker, its window and a u with the variance (GEV:
     # scale) link below its floor on some cases and above it on others
     if family == "gev":
         gs, _, x, obs = _arrays(_gev_window(0.0))
-        objective = _gev_objective(gs, x, obs)
+        make = _gev_objective
         u = np.array([0.4, 0.22, -3.0, 0.6, 0.1])
     else:
         gs, x, _, obs = _arrays(_crps_window())
-        objective = (_tn_objective if family == "tn" else _ln_objective)(gs, x, obs)
+        make = _tn_objective if family == "tn" else _ln_objective
         u = np.array([0.3, 0.2, -0.5, 0.4])
     floored = u[2] + u[3] * x < 1e-4
     assert np.any(floored) and not np.all(floored)
-    return objective, gs, x, u
+    return make, gs, x, obs, u
 
 
 @pytest.mark.parametrize("family", ["tn", "ln", "gev"])
 def test_standardized_gradient_matches_central_differences_in_v(family):
-    objective, gs, x, u = _floored_problem(family)
-    A = _standardizer(gs, x, u.size)
+    make, gs, x, obs, u = _floored_problem(family)
+    objective = make(*_link_columns(gs, x), obs)
+    first, second, A = _design(gs, x, u.size)
     assert not np.allclose(A, np.eye(u.size))
     v = np.linalg.solve(A, u)
-    of_v = _standardized(objective, A)
+    of_v = make(first, second, obs)
     val, grad = of_v(v)[:2]
     want_val, want_grad = objective(u)[:2]
     assert val == pytest.approx(want_val, rel=1e-12)
@@ -938,13 +941,16 @@ def test_standardizer_scales_columns_and_keeps_the_rest():
     # v's location column is gs centred and divided by its spread, the
     # second link's column x divided by its RMS; c0 and xi are their own
     gs, _, fbar, _ = _arrays(_gev_window(0.1))
-    A = _standardizer(gs, fbar, 5)
+    first, second, A = _design(gs, fbar, 5)
     v = np.array([0.7, -0.3, 0.2, 0.9, 0.15])
-    loc, scale = _links(A @ v, gs, fbar)
+    loc, scale = _links(A @ v, *_link_columns(gs, fbar))
     z = (gs[:, 0] - np.mean(gs)) / np.std(gs)
     np.testing.assert_allclose(loc, 0.7 - 0.3 * z, rtol=1e-12)
     np.testing.assert_allclose(scale, 0.2 + 0.9 * fbar / np.sqrt(np.mean(fbar**2)), rtol=1e-12)
     assert (A @ v)[4] == v[4]
+    # v's own columns give the same links
+    for got, want in zip(_links(v, first, second), (loc, scale)):
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_a_weight_bounded_by_zero_stops_there():
@@ -982,8 +988,8 @@ def test_degenerate_windows_get_a_finite_standardizer_and_converge(family, kind)
     window = _degenerate_window(kind)
     gs, s2, fbar, _ = _arrays(window)
     x = fbar if family == "gev" else s2
-    A = _standardizer(gs, x, 5 if family == "gev" else 4)
-    assert np.all(np.isfinite(A))
+    first, second, A = _design(gs, x, 5 if family == "gev" else 4)
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(first)) and np.all(np.isfinite(second))
     # A column with no spread keeps the scale 1
     assert A[1, 1] == 1.0
     if kind == "identical members":
