@@ -49,9 +49,9 @@ from windemos.estimation import (
     _SUPPORT_PENALTY,
     _XI_MAX,
     MIXTURES,
+    _design,
     _gev_objective,
     _lbfgsb,
-    _design,
     _link_columns,
     _links,
     _ln_objective,

@@ -11,8 +11,9 @@
 #
 # Prints per workload and end-to-end metric the median of each side, the
 # quartiles of BASE's runs and the pairs each side won, and whether
-# mean_crps matched bit for bit in every pair.  N defaults to 5.  Exits 0
-# when every run succeeded, 2 when BASE cannot be unpacked or a run fails.
+# mean_crps matched bit for bit in every pair (if not, by how much).  N
+# defaults to 5.  Exits 0 when every run succeeded, 2 when BASE cannot be
+# unpacked or a run fails.
 set -uo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -31,11 +32,10 @@ done
 git -C "$root" archive "$1" src | tar -x -C "$tmp/base" || exit 2
 cp -r "$root/src" "$tmp/change/" || exit 2
 
-spec() {
-    python3 -c "import json, sys; s = json.load(open(sys.argv[1])); print($1)" "$root/BENCHMARK.json"
-}
-seconds=$(spec 's["run_seconds"]')
-workloads=$(spec '" ".join(w["name"] for w in s["workloads"])')
+# The run length, then the workload names
+read -r seconds workloads < <(python3 -c 'import json, sys
+spec = json.load(open(sys.argv[1]))
+print(spec["run_seconds"], *(w["name"] for w in spec["workloads"]))' "$root/BENCHMARK.json")
 
 for workload in $workloads; do
     for i in $(seq 1 "$pairs"); do
@@ -77,13 +77,11 @@ for workload in workloads:
             f"{workload} {name}: {statistics.median(b):.6g} -> {statistics.median(c):.6g} "
             f"[{q1:.6g}, {q3:.6g}] ({won_b}/{won_c}) {m['unit']}"
         )
-    same = all(
-        x["metrics"]["mean_crps"]["value"] == y["metrics"]["mean_crps"]["value"]
-        for x, y in zip(base, change)
+    crps = [[r["metrics"]["mean_crps"]["value"] for r in pair] for pair in zip(base, change)]
+    moved = [abs(y - x) / abs(x) for x, y in crps if x != y]
+    same = "bit-identical in every pair" if not moved else (
+        f"differs in {len(moved)} of {pairs} pairs, by at most {max(moved):.2g} relative"
     )
     failed = sum(r["failed"] for r in base + change)
-    print(
-        f"{workload}: mean_crps bit-identical in {'every' if same else 'NOT every'} pair; "
-        f"{failed} failed operations"
-    )
+    print(f"{workload}: mean_crps {same}; {failed} failed operations")
 EOF
