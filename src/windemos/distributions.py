@@ -5,6 +5,12 @@ log-normal, and a generalized extreme value (GEV) law.  Parameters may
 be scalars or broadcastable arrays and every method is vectorized in
 both the parameters and the evaluation point.
 
+Each family is a `_Law`: it declares its parameter names once, in
+`params` (constructor order, which `scoring.ForecastBatch` reads to
+stack and split laws), and its own `cdf`, `logpdf`, `mean` and
+`_inverse` (the quantile of checked levels); the density, median,
+quantile, sampling, negative mass and repr derive from those.
+
 All normal-CDF arithmetic routes through the complementary error
 function and its log-domain variants, so tail probabilities remain
 accurate for extreme arguments (deeply truncated normals in particular).
@@ -30,11 +36,6 @@ def norm_cdf(z):
     return 0.5 * special.erfc(-np.asarray(z, dtype=float) / _SQRT2)
 
 
-def norm_pdf(z):
-    z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * z * z - _LOG_SQRT_2PI)
-
-
 def log_norm_cdf(z):
     """log Phi(z), stable for very negative z."""
     return special.log_ndtr(np.asarray(z, dtype=float))
@@ -43,6 +44,10 @@ def log_norm_cdf(z):
 def log_norm_pdf(z):
     z = np.asarray(z, dtype=float)
     return -0.5 * z * z - _LOG_SQRT_2PI
+
+
+def norm_pdf(z):
+    return np.exp(log_norm_pdf(z))
 
 
 def norm_cdf_pdf_ratio(t):
@@ -77,13 +82,52 @@ def _check_prob(p):
     return p
 
 
-def _uniform_open(rng, size, shape):
-    # Uniform draws guarded away from 0 so inverse transforms stay finite.
-    u = rng.random(size=shape if size is None else size)
-    return np.maximum(u, np.finfo(float).tiny)
+def _gev_tail(xi, z):
+    """Where 1 + xi z > 0, log(1 + xi z) there (0 elsewhere) and the GEV's
+    t = -log F = (1 + xi z)^(-1/xi) as exp(-log1p(xi z)/xi), which keeps its
+    digits as xi (nonzero) nears the Gumbel switch; outside the support t is
+    inf below it (xi > 0) and 0 above it (xi < 0)."""
+    inside = 1.0 + xi * z > 0.0
+    log_u = np.log1p(np.where(inside, xi * z, 0.0))
+    with np.errstate(over="ignore"):
+        t = np.exp(-log_u / xi)
+    return inside, log_u, np.where(inside, t, np.where(xi > 0.0, np.inf, 0.0))
 
 
-class TruncatedNormal:
+class _Law:
+    """A parametric law of one case, or of many with array parameters.
+
+    Each family names its parameters in `params`, in constructor order,
+    and gives `cdf`, `logpdf`, `mean` and `_inverse`, the quantile at
+    levels already checked to lie in (0, 1); the rest derives from those.
+    """
+
+    def pdf(self, x):
+        return np.exp(self.logpdf(x))
+
+    def median(self):
+        return self.quantile(0.5)
+
+    def quantile(self, p):
+        return self._inverse(_check_prob(p))
+
+    def sample(self, rng, size=None):
+        """Inverse-transform draws using a seeded numpy Generator; the
+        uniforms are guarded away from 0, so the draws stay finite."""
+        shape = np.broadcast_shapes(*(np.shape(getattr(self, a)) for a in self.params))
+        u = rng.random(size=shape if size is None else size)
+        return self._inverse(np.maximum(u, np.finfo(float).tiny))
+
+    def neg_mass(self):
+        """Probability assigned to negative wind speeds."""
+        return self.cdf(0.0)
+
+    def __repr__(self):
+        args = ", ".join(f"{a}={getattr(self, a)!r}" for a in self.params)
+        return f"{type(self).__name__}({args})"
+
+
+class TruncatedNormal(_Law):
     """Normal distribution truncated to [0, inf).
 
     Parameters
@@ -94,72 +138,77 @@ class TruncatedNormal:
         Scale of the parent normal, > 0.
     """
 
+    params = ("mu", "sigma")
+
     def __init__(self, mu, sigma):
         self.mu = _validate_finite(mu, "mu")
         self.sigma = _validate_positive(sigma, "sigma")
 
     @property
-    def _ratio(self):
-        return self.mu / self.sigma
-
-    @property
     def _log_norm_const(self):
         # log Phi(mu/sigma), the truncation normalizer
-        return log_norm_cdf(self._ratio)
+        return log_norm_cdf(self.mu / self.sigma)
+
+    def _log_tail(self, x):
+        """log(1 - F) and log f at max(x, 0), through log-CDF differences.
+
+        Below mu = 0 those lose digits as r = mu/sigma falls: with Phi = phi m
+        (`norm_cdf_pdf_ratio`) and xs = x/sigma, the logs there are
+        -xs (xs/2 - r) + log(m(r - xs)/m(r)) and -xs (xs/2 - r) - log(sigma m(r)).
+        """
+        x0 = np.maximum(x, 0.0)
+        z = (x0 - self.mu) / self.sigma
+        log_nc = self._log_norm_const
+        log_sf = log_norm_cdf(-z) - log_nc
+        log_f = log_norm_pdf(z) - np.log(self.sigma) - log_nc
+        if np.any(self.mu < 0.0):
+            r, xs = np.minimum(self.mu / self.sigma, 0.0), x0 / self.sigma
+            m = norm_cdf_pdf_ratio(r)
+            with np.errstate(divide="ignore", over="ignore"):  # -inf as x -> inf
+                e = -xs * (0.5 * xs - r)
+                deep_sf = np.log(norm_cdf_pdf_ratio(r - xs) / m) + e
+                log_sf = np.where(self.mu < 0.0, deep_sf, log_sf)
+                log_f = np.where(self.mu < 0.0, e - np.log(self.sigma * m), log_f)
+        return log_sf, log_f
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        # 1 - Phi((mu-x)/sigma)/Phi(mu/sigma), through the log of that
-        # ratio; x below 0 would overflow it, and F is 0 there
-        x0 = np.maximum(x, 0.0)
-        log_sf = log_norm_cdf((self.mu - x0) / self.sigma) - self._log_norm_const
-        if np.any(self.mu < 0.0):
-            # The log-CDF difference loses digits as r = mu/sigma falls: with
-            # Phi = phi m (`norm_cdf_pdf_ratio`) and xs = x/sigma, the log is
-            # -xs (xs/2 - r) + log(m(r - xs)/m(r)), as in the TN scores
-            r, xs = np.minimum(self._ratio, 0.0), x0 / self.sigma
-            with np.errstate(divide="ignore", over="ignore"):  # -inf as x -> inf
-                ratio = np.log(norm_cdf_pdf_ratio(r - xs) / norm_cdf_pdf_ratio(r))
-                log_sf = np.where(self.mu < 0.0, ratio - xs * (0.5 * xs - r), log_sf)
-        return np.where(x <= 0.0, 0.0, np.clip(-np.expm1(log_sf), 0.0, 1.0))
+        return np.where(x <= 0.0, 0.0, np.clip(-np.expm1(self._log_tail(x)[0]), 0.0, 1.0))
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        with np.errstate(invalid="ignore"):
-            val = log_norm_pdf(z) - np.log(self.sigma) - self._log_norm_const
-        return np.where(x < 0.0, -np.inf, val)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
+        return np.where(x < 0.0, -np.inf, self._log_tail(x)[1])
 
     def mean(self):
-        # mu + sigma phi(r)/Phi(r), the ratio below r = 0 as 1/(Phi/phi)(r)
-        r = self._ratio
+        # mu + sigma phi(r)/Phi(r), the ratio below r = 0 as 1/(Phi/phi)(r).
+        # Below r = -5 that sum cancels; r + phi(r)/Phi(r) is then Laplace's
+        # continued fraction 1/(t + 2/(t + 3/(t + ...))), t = -r, to 40 terms
+        r = self.mu / self.sigma
         lam = np.exp(log_norm_pdf(r) - self._log_norm_const)
-        return self.mu + self.sigma * np.where(r < 0.0, 1.0 / norm_cdf_pdf_ratio(r), lam)
+        mean = self.mu + self.sigma * np.where(r < 0.0, 1.0 / norm_cdf_pdf_ratio(r), lam)
+        if np.any(r < -5.0):
+            t = f = np.maximum(-r, 5.0)
+            for k in range(40, 1, -1):
+                f = t + k / f
+            mean = np.where(r < -5.0, self.sigma / f, mean)
+        return mean
 
-    def median(self):
-        return self.quantile(0.5)
-
-    def quantile(self, p):
-        # Rounding can leave p -> 0 a hair below the support
-        return np.maximum(self._inverse_cdf(_check_prob(p)), 0.0)
-
-    def _inverse_cdf(self, u):
-        # Solve Phi((mu - q)/sigma) = (1-u) Phi(mu/sigma) in the log domain
-        return self.mu - self.sigma * special.ndtri_exp(np.log1p(-u) + self._log_norm_const)
-
-    def sample(self, rng, size=None):
-        """Inverse-transform draws using a seeded numpy Generator."""
-        shape = np.broadcast_shapes(np.shape(self.mu), np.shape(self.sigma))
-        return self._inverse_cdf(_uniform_open(rng, size, shape))
-
-    def neg_mass(self):
-        return np.zeros(np.broadcast_shapes(np.shape(self.mu), np.shape(self.sigma)))
-
-    def __repr__(self):
-        return f"TruncatedNormal(mu={self.mu!r}, sigma={self.sigma!r})"
+    def _inverse(self, u):
+        # Solve Phi((mu - q)/sigma) = (1-u) Phi(mu/sigma) in the log domain;
+        # rounding can leave u -> 0 a hair below the support
+        log_target = np.log1p(-u)
+        q = self.mu - self.sigma * special.ndtri_exp(log_target + self._log_norm_const)
+        if np.any(self.mu < 0.0):
+            # That sum adds log(1 - u) to log Phi(r) of size r^2/2 and loses
+            # digits as r falls.  log(1 - F) is concave, so Newton steps on
+            # it converge from either side.  Rows with mu >= 0 keep q (their
+            # step may overflow where f underflows)
+            for _ in range(3):
+                log_sf, log_f = self._log_tail(q)
+                with np.errstate(over="ignore"):
+                    step = (log_sf - log_target) * np.exp(log_sf - log_f)
+                q = np.where(self.mu < 0.0, np.maximum(q, 0.0) + step, q)
+        return np.maximum(q, 0.0)
 
 
 class MeanVariance:
@@ -183,7 +232,7 @@ class MeanVariance:
         return f"MeanVariance(m={self.m!r}, v={self.v!r})"
 
 
-class LogNormal:
+class LogNormal(_Law):
     """Log-normal distribution with log-scale location and shape.
 
     Parameters
@@ -193,6 +242,8 @@ class LogNormal:
     sigma : float or array
         Standard deviation of log(X), > 0.
     """
+
+    params = ("mu", "sigma")
 
     def __init__(self, mu, sigma):
         self.mu = _validate_finite(mu, "mu")
@@ -218,32 +269,14 @@ class LogNormal:
             val = log_norm_pdf(w) - np.log(self.sigma) - logx
         return np.where(x <= 0.0, -np.inf, val)
 
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
     def mean(self):
         return np.exp(self.mu + 0.5 * self.sigma * self.sigma)
 
-    def median(self):
-        return np.exp(self.mu)
-
-    def quantile(self, p):
-        return np.exp(self.mu + self.sigma * special.ndtri(_check_prob(p)))
-
-    def sample(self, rng, size=None):
-        """Inverse-transform draws using a seeded numpy Generator."""
-        shape = np.broadcast_shapes(np.shape(self.mu), np.shape(self.sigma))
-        u = _uniform_open(rng, size, shape)
+    def _inverse(self, u):
         return np.exp(self.mu + self.sigma * special.ndtri(u))
 
-    def neg_mass(self):
-        return np.zeros(np.broadcast_shapes(np.shape(self.mu), np.shape(self.sigma)))
 
-    def __repr__(self):
-        return f"LogNormal(mu={self.mu!r}, sigma={self.sigma!r})"
-
-
-class GEV:
+class GEV(_Law):
     """Generalized extreme value distribution.
 
     Parameters
@@ -256,107 +289,50 @@ class GEV:
         Shape.  |xi| < 1e-6 is evaluated on the Gumbel branch.
     """
 
+    params = ("mu", "sigma", "xi")
+
     def __init__(self, mu, sigma, xi):
         self.mu = _validate_finite(mu, "mu")
         self.sigma = _validate_positive(sigma, "sigma")
         self.xi = _validate_finite(xi, "xi")
-
-    @property
-    def _gumbel(self):
-        return np.abs(self.xi) < _SMALL_XI
+        # The shape is 1 on the Gumbel rows, where the xi-branch is unused
+        self._gumbel = np.abs(self.xi) < _SMALL_XI
+        self._xi_safe = np.where(self._gumbel, 1.0, self.xi)
 
     def support(self):
         """Lower and upper endpoints of the support."""
-        shape = np.broadcast_shapes(
-            np.shape(self.mu), np.shape(self.sigma), np.shape(self.xi)
-        )
-        mu, sigma, xi = (
-            np.broadcast_to(self.mu, shape),
-            np.broadcast_to(self.sigma, shape),
-            np.broadcast_to(self.xi, shape),
-        )
-        gumbel = np.abs(xi) < _SMALL_XI
-        with np.errstate(divide="ignore"):
-            endpoint = mu - sigma / np.where(gumbel, np.inf, xi)
-        lo = np.where(~gumbel & (xi > 0.0), endpoint, -np.inf)
-        hi = np.where(~gumbel & (xi < 0.0), endpoint, np.inf)
+        endpoint = self.mu - self.sigma / np.where(self._gumbel, np.inf, self.xi)
+        lo = np.where(~self._gumbel & (self.xi > 0.0), endpoint, -np.inf)
+        hi = np.where(~self._gumbel & (self.xi < 0.0), endpoint, np.inf)
         return lo, hi
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        gumbel = self._gumbel
-        xi_safe = np.where(gumbel, 1.0, self.xi)
-        t = 1.0 + xi_safe * z
-        inside = t > 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = np.exp(-np.power(np.where(inside, t, 1.0), -1.0 / xi_safe))
-            out_of_support = np.where(xi_safe > 0.0, 0.0, 1.0)
-            branch = np.where(inside, val, out_of_support)
+        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        with np.errstate(over="ignore"):
             gum = np.exp(-np.exp(-z))
-        return np.where(gumbel, gum, branch)
+        return np.where(self._gumbel, gum, np.exp(-_gev_tail(self._xi_safe, z)[2]))
 
     def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        gumbel = self._gumbel
-        xi_safe = np.where(gumbel, 1.0, self.xi)
-        t = 1.0 + xi_safe * z
-        inside = t > 0.0
+        z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
+        inside, log_u, t = _gev_tail(self._xi_safe, z)
         with np.errstate(over="ignore", invalid="ignore"):
-            # log1p keeps log t accurate for xi just off the Gumbel switch
-            logt = np.log1p(np.where(inside, xi_safe * z, 0.0))
-            branch = (
-                -np.log(self.sigma)
-                - (1.0 + 1.0 / xi_safe) * logt
-                - np.exp(-logt / xi_safe)
-            )
+            branch = -np.log(self.sigma) - (1.0 + 1.0 / self._xi_safe) * log_u - t
             branch = np.where(inside, branch, -np.inf)
             gum = -np.log(self.sigma) - z - np.exp(-z)
-        return np.where(gumbel, gum, branch)
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
+        return np.where(self._gumbel, gum, branch)
 
     def mean(self):
         """Finite only for xi < 1."""
         if np.any(np.asarray(self.xi) >= 1.0):
             raise UndefinedMomentError("GEV mean is undefined for xi >= 1")
-        gumbel = self._gumbel
-        xi_safe = np.where(gumbel, 0.5, self.xi)
+        xi_safe = np.where(self._gumbel, 0.5, self.xi)
         with np.errstate(invalid="ignore"):
             branch = self.mu + self.sigma * (special.gamma(1.0 - xi_safe) - 1.0) / xi_safe
         gum = self.mu + self.sigma * np.euler_gamma
-        return np.where(gumbel, gum, branch)
+        return np.where(self._gumbel, gum, branch)
 
-    def median(self):
-        return self.quantile(0.5)
-
-    def quantile(self, p):
-        log_g = np.log(-np.log(_check_prob(p)))  # log of -log F(q)
-        gumbel = self._gumbel
-        xi_safe = np.where(gumbel, 1.0, self.xi)
-        # expm1 keeps ((-log p)^-xi - 1)/xi accurate as xi nears the Gumbel switch
-        branch = self.mu + self.sigma * np.expm1(-xi_safe * log_g) / xi_safe
-        gum = self.mu - self.sigma * log_g
-        return np.where(gumbel, gum, branch)
-
-    def sample(self, rng, size=None):
-        """Inverse-transform draws using a seeded numpy Generator."""
-        shape = np.broadcast_shapes(
-            np.shape(self.mu), np.shape(self.sigma), np.shape(self.xi)
-        )
-        u = _uniform_open(rng, size, shape)
-        gumbel = self._gumbel
-        xi_safe = np.where(gumbel, 1.0, self.xi)
-        g = -np.log(u)
-        branch = self.mu + self.sigma * (np.power(g, -xi_safe) - 1.0) / xi_safe
-        gum = self.mu - self.sigma * np.log(g)
-        return np.where(gumbel, gum, branch)
-
-    def neg_mass(self):
-        """Probability assigned to negative wind speeds."""
-        return self.cdf(0.0)
-
-    def __repr__(self):
-        return f"GEV(mu={self.mu!r}, sigma={self.sigma!r}, xi={self.xi!r})"
+    def _inverse(self, u):
+        log_g = np.log(-np.log(u))  # log of -log F(q)
+        # expm1 keeps ((-log u)^-xi - 1)/xi accurate as xi nears the Gumbel switch
+        branch = self.mu + self.sigma * np.expm1(-self._xi_safe * log_g) / self._xi_safe
+        return np.where(self._gumbel, self.mu - self.sigma * log_g, branch)

@@ -25,7 +25,7 @@ cases are far cheaper as columns (README, "Per case or per batch").
 import datetime
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -145,23 +145,17 @@ def ensemble_stats(forecast):
     return EnsembleStats(mean=float(mean), variance=float(variance), median=float(median))
 
 
-def _check_weights(weights, name, nonnegative):
-    w = tuple(float(v) for v in np.atleast_1d(weights))
-    arr = np.asarray(w)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{name} must be finite")
-    if nonnegative and np.any(arr < 0.0):
-        raise InvalidParameterError(f"{name} must be nonnegative")
-    return w
-
-
-def _check_scalar(value, name, nonnegative=False):
-    v = float(value)
-    if not np.isfinite(v):
-        raise InvalidParameterError(f"{name} must be finite")
-    if nonnegative and v < 0.0:
-        raise InvalidParameterError(f"{name} must be nonnegative")
-    return v
+def _check_coefficients(p, *nonnegative):
+    # Each field of link coefficients in order: group weights (a tuple
+    # field) become a tuple of floats, the others a float; all finite
+    for f in fields(p):
+        v = getattr(p, f.name)
+        v = tuple(map(float, np.atleast_1d(v))) if f.type is tuple else float(v)
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameterError(f"{f.name} must be finite")
+        if f.name in nonnegative and np.any(np.less(v, 0.0)):
+            raise InvalidParameterError(f"{f.name} must be nonnegative")
+        object.__setattr__(p, f.name, v)
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,7 @@ class TnParams:
     b1: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a0", _check_scalar(self.a0, "a0"))
-        object.__setattr__(self, "a", _check_weights(self.a, "a", nonnegative=True))
-        object.__setattr__(self, "b0", _check_scalar(self.b0, "b0", nonnegative=True))
-        object.__setattr__(self, "b1", _check_scalar(self.b1, "b1", nonnegative=True))
+        _check_coefficients(self, "a", "b0", "b1")
 
 
 @dataclass(frozen=True)
@@ -190,10 +181,7 @@ class LnParams:
     beta1: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha0", _check_scalar(self.alpha0, "alpha0"))
-        object.__setattr__(self, "alpha", _check_weights(self.alpha, "alpha", nonnegative=True))
-        object.__setattr__(self, "beta0", _check_scalar(self.beta0, "beta0", nonnegative=True))
-        object.__setattr__(self, "beta1", _check_scalar(self.beta1, "beta1", nonnegative=True))
+        _check_coefficients(self, "alpha", "beta0", "beta1")
 
 
 @dataclass(frozen=True)
@@ -207,11 +195,7 @@ class GevParams:
     xi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma0", _check_scalar(self.gamma0, "gamma0"))
-        object.__setattr__(self, "gamma", _check_weights(self.gamma, "gamma", nonnegative=False))
-        object.__setattr__(self, "sigma0", _check_scalar(self.sigma0, "sigma0"))
-        object.__setattr__(self, "sigma1", _check_scalar(self.sigma1, "sigma1"))
-        object.__setattr__(self, "xi", _check_scalar(self.xi, "xi"))
+        _check_coefficients(self)
 
 
 @dataclass(frozen=True)

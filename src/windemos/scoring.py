@@ -5,7 +5,9 @@ family (and per sample size of `Empirical` laws), with the rows of the
 cases it covers, so the mixed TN / LN / GEV sets of a regime-switching
 model and the raw-ensemble and climatological forecasts are scored
 without per-case objects.  A list of scalar laws is read into a batch
-by `ForecastBatch.of`, the one place such a list is taken apart.
+by `ForecastBatch.of`, the one place such a list is taken apart; laws
+are stacked and split by the parameter names each family declares in
+its `params`.
 
 Every production score is a closed form evaluated on one family part
 at a time: the CRPS of truncated normal, log-normal and GEV forecasts,
@@ -31,6 +33,8 @@ from .distributions import (
     GEV,
     LogNormal,
     TruncatedNormal,
+    _check_prob,
+    _gev_tail,
     log_norm_cdf,
     log_norm_pdf,
     norm_cdf,
@@ -71,6 +75,8 @@ class Empirical:
     interval with alpha = 2/(n+1) is exactly the sample range.
     """
 
+    params = ("values",)
+
     def __init__(self, values):
         values = np.asarray(values, dtype=float)
         values = values if values.ndim > 1 else values.ravel()
@@ -90,9 +96,7 @@ class Empirical:
         return np.sum(self.values <= x[..., None], axis=-1) / self.n
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if not np.all((p > 0.0) & (p < 1.0)):
-            raise InvalidInputError("probability level must lie strictly in (0, 1)")
+        p = _check_prob(p)
         n = self.n
         h = np.clip(p * (n + 1.0) - 1.0, 0.0, n - 1.0)  # 0-based Weibull position
         lo = np.floor(h).astype(int)
@@ -118,15 +122,6 @@ class Empirical:
 
     def __repr__(self):
         return f"Empirical(n={self.n})"
-
-
-# The parameters of each family, in constructor order
-_PARAMS = {
-    TruncatedNormal: ("mu", "sigma"),
-    LogNormal: ("mu", "sigma"),
-    GEV: ("mu", "sigma", "xi"),
-    Empirical: ("values",),
-}
 
 
 class ForecastBatch:
@@ -158,11 +153,11 @@ class ForecastBatch:
             groups.setdefault((type(d), getattr(d, "n", None)), []).append(i)
         parts = []
         for (kind, n), rows in groups.items():
-            if kind not in _PARAMS:
+            if not hasattr(kind, "params"):
                 raise InvalidInputError(f"unsupported predictive law {kind.__name__}")
             members = [laws[i] for i in rows]
             dtype = float if n is None else (float, n)
-            params = ((getattr(d, a) for d in members) for a in _PARAMS[kind])
+            params = ((getattr(d, a) for d in members) for a in kind.params)
             law = kind(*(np.fromiter(p, dtype, len(rows)) for p in params))
             parts.append((rows, law))
         return cls(len(laws), parts)
@@ -178,7 +173,7 @@ class ForecastBatch:
         parts = []
         for (kind, _), items in groups.items():
             rows = np.concatenate([r for r, _ in items])
-            params = (np.concatenate([getattr(d, a) for _, d in items]) for a in _PARAMS[kind])
+            params = (np.concatenate([getattr(d, a) for _, d in items]) for a in kind.params)
             parts.append((rows, kind(*params)))
         return cls(n, parts)
 
@@ -186,7 +181,7 @@ class ForecastBatch:
         """The scalar law of every case, in case order."""
         out = [None] * self.n
         for rows, law in self.parts:
-            params = zip(*(getattr(law, a) for a in _PARAMS[type(law)]))
+            params = zip(*(getattr(law, a) for a in law.params))
             for i, d in zip(rows.tolist(), itertools.starmap(type(law), params)):
                 out[i] = d
         return out
@@ -369,14 +364,9 @@ def _gev_terms(d, x):
     t = -log F(x), x - (mu - sigma/xi) and sigma Gamma(1 - xi)/xi."""
     if np.any(d.xi >= 1.0):
         raise UndefinedMomentError("GEV CRPS is undefined for xi >= 1")
-    z = (x - d.mu) / d.sigma
-    gumbel = d._gumbel
-    xi = np.where(gumbel, 0.5, d.xi)
-    u = 1.0 + xi * z
-    outside = np.where(xi > 0.0, np.inf, 0.0)
-    with np.errstate(over="ignore"):
-        t = np.where(u > 0.0, np.where(u > 0.0, u, 1.0) ** (-1.0 / xi), outside)
-    return z, gumbel, xi, t, x - d.mu + d.sigma / xi, d.sigma / xi * special.gamma(1.0 - xi)
+    z, xi = (x - d.mu) / d.sigma, np.where(d._gumbel, 0.5, d.xi)
+    t = _gev_tail(xi, z)[2]
+    return z, d._gumbel, xi, t, x - d.mu + d.sigma / xi, d.sigma / xi * special.gamma(1.0 - xi)
 
 
 def _on_gumbel_rows(form, gumbel, z, sigma):
@@ -619,7 +609,7 @@ def _columnize(d):
     # Same family with params reshaped (k,) -> (k, 1) for node matrices
     if type(d) not in _CLOSED_FORMS:
         raise InvalidInputError(f"no quadrature batch path for {type(d).__name__}")
-    params = np.broadcast_arrays(*(getattr(d, a) for a in _PARAMS[type(d)]))
+    params = np.broadcast_arrays(*(getattr(d, a) for a in d.params))
     return type(d)(*(p.reshape(-1, 1) for p in params))
 
 

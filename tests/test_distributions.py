@@ -92,25 +92,26 @@ def test_tn_mean_under_deep_truncation(mu):
     assert d.mean() == pytest.approx(-1.0 / mu - 2.0 / mu**3, abs=1e-15 * abs(mu))
 
 
+def _mills(t):
+    """The Mills ratio m(t) = Phi(t)/phi(t) at a decimal t <= -100, by its
+    asymptotic series sum_k (-1)^k (2k - 1)!!/|t|^(2k + 1); 12 terms reach
+    1e-36 there."""
+    total, term = 0, 1 / -t
+    for k in range(1, 13):
+        total, term = total + term, -term * (2 * k - 1) / (t * t)
+    return total
+
+
 def _tn_sf_by_series(r, xs):
     """1 - F of a truncated normal at x, r = mu/sigma far below 0 and xs = x/sigma.
 
-    1 - F = Phi(r - xs)/Phi(r), with Phi(t) = phi(t) m(t) for the Mills
-    ratio's asymptotic series m(t) = sum_k (-1)^k (2k - 1)!!/|t|^(2k + 1)
-    and phi(r - xs)/phi(r) = exp(-xs (xs/2 - r)); 12 terms reach 1e-36
-    at |t| >= 100.  In 40-digit decimals.
+    1 - F = Phi(r - xs)/Phi(r), with Phi(t) = phi(t) m(t) (`_mills`) and
+    phi(r - xs)/phi(r) = exp(-xs (xs/2 - r)).  In 40-digit decimals.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         r, xs = decimal.Decimal(r), decimal.Decimal(xs)
-
-        def mills(t):
-            total, term = 0, 1 / -t
-            for k in range(1, 13):
-                total, term = total + term, -term * (2 * k - 1) / (t * t)
-            return total
-
-        return (-xs * (xs / 2 - r)).exp() * mills(r - xs) / mills(r)
+        return (-xs * (xs / 2 - r)).exp() * _mills(r - xs) / _mills(r)
 
 
 @pytest.mark.parametrize("r", [-1e2, -1e4, -1e6])
@@ -125,6 +126,42 @@ def test_tn_cdf_under_deep_truncation(r, c, sigma):
     sf = _tn_sf_by_series(r, x / sigma)
     assert got == pytest.approx(float(1 - sf), rel=1e-12, abs=0.0)
     assert 1.0 - got == pytest.approx(float(sf), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [-1e2, -1e4, -1e6])
+@pytest.mark.parametrize("c", [0.1, 3.0])
+@pytest.mark.parametrize("sigma", [1.0, 2.5])
+def test_tn_density_under_deep_truncation(r, c, sigma):
+    # f = phi(z)/(sigma Phi(r)) with Phi(r) = phi(r) m(r) is
+    # exp(-xs (xs/2 - r))/(sigma m(r)).  The log-density difference of
+    # size r^2/2 it replaces was off by 3.6e-13 relative at r = -1e2 and
+    # by 1.3e-4 at -1e6
+    x = c * sigma / -r
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        rd, xs = decimal.Decimal(r), decimal.Decimal(x) / decimal.Decimal(sigma)
+        log_f = -xs * (xs / 2 - rd) - (decimal.Decimal(sigma) * _mills(rd)).ln()
+        want = float(log_f.exp())
+    assert TruncatedNormal(r * sigma, sigma).pdf(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [-1e2, -1e4, -1e6])
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_tn_quantile_under_deep_truncation(r, p):
+    # The quantile inverts the CDF that `test_tn_cdf_under_deep_truncation`
+    # checks; solving for it in the log domain alone left F(q) - p at
+    # 1e-11 at r = -1e2 and at 1e-4 at -1e6
+    d = TruncatedNormal(r, 1.0)
+    assert abs(d.cdf(d.quantile(p)) - p) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [1e4, 1e6])
+def test_tn_mean_keeps_its_relative_accuracy_under_deep_truncation(t):
+    # The mean sigma (r + phi(r)/Phi(r)) of TN(-t, 1) is 1/t - 2/t^3 +
+    # 10/t^5 - ...; the sum mu + sigma phi/Phi it replaces below r = -5
+    # was off by 3.1e-8 relative at t = 1e4 and 1.2e-4 at 1e6
+    mean = TruncatedNormal(-t, 1.0).mean()
+    assert mean == pytest.approx(1.0 / t - 2.0 / t**3 + 10.0 / t**5, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (6.0, 2.5), (-8.0, 3.0), (-30.0, 1.0), (50.0, 0.5)])
@@ -294,6 +331,21 @@ def test_gev_gumbel_branch_is_continuous():
         near = GEV(5.0, 2.0, xi)
         assert np.max(np.abs(near.cdf(x) - base.cdf(x))) < 1e-6
         assert np.max(np.abs(near.pdf(x) - base.pdf(x))) < 1e-6
+
+
+@pytest.mark.parametrize("xi", [2e-6, -2e-6, 1e-5, -1e-5, 1e-4, -1e-4])
+@pytest.mark.parametrize("z", [-2.0, 0.5, 3.0])
+def test_gev_cdf_near_the_gumbel_switch(xi, z):
+    # F = exp(-exp(-L)) with L = log(1 + xi z)/xi = z - xi z^2/2 + xi^2 z^3/3
+    # - ...; 12 terms reach 1e-40 at |xi z| <= 3e-4.  (1 + xi z)^(-1/xi)
+    # by a power lost log(1 + xi z)'s rounding over xi: F was off by
+    # 4e-10 relative at xi = -2e-6
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        xd, zd = decimal.Decimal(xi), decimal.Decimal(z)
+        log_u = sum((-1) ** (k + 1) * xd ** (k - 1) * zd**k / k for k in range(1, 13))
+        want = float((-(-log_u).exp()).exp())
+    assert GEV(0.0, 1.0, xi).cdf(z) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [0.35, 0.0, -0.35])

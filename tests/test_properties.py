@@ -3,8 +3,9 @@
 Each property is an invariant the docstrings claim: scores carry the
 unit of the observation, twCRPS is a nonnegative integral that shrinks
 as the threshold rises and is the CRPS below the support, every
-closed-form quantile inverts its CDF, every closed-form mean is the mean
-of the law's draws, the ensemble statistics are numpy's reductions bit
+closed-form quantile inverts its CDF, every parametric law derives its
+density, median, negative mass, draws and repr from its own methods,
+every closed-form mean is the mean of the law's draws, the ensemble statistics are numpy's reductions bit
 for bit, for one case and for a table of cases, an Empirical law
 with one sample per row is, row by row, the law of that sample bit for
 bit, and the raw and climatology streams are their per-case definitions
@@ -102,11 +103,36 @@ def test_twcrps_below_the_support_is_the_crps(d, x, depth):
         assert twcrps_values([d], [x], r)[0] == pytest.approx(crps, rel=1e-9, abs=1e-10)
 
 
+# TN laws down to mu/sigma = -1e6, and GEV laws with xi up to 0.95 and
+# on both sides of the Gumbel switch at |xi| = 1e-6
+deep_tn_laws = st.builds(
+    lambda r, sigma: TruncatedNormal(r * sigma, sigma),
+    st.one_of(_real(-10.0, 15.0), _real(1.0, 6.0).map(lambda e: -(10.0**e))),
+    _real(0.1, 5.0),
+)
+wide_gev_laws = st.builds(
+    GEV, _real(0.0, 10.0), _real(0.2, 4.0), st.one_of(_real(-0.9, 0.95), _real(-1e-5, 1e-5))
+)
+parametric_laws = st.one_of(deep_tn_laws, ln_laws, wide_gev_laws)
+
+
 @deterministic
-@given(st.one_of(tn_laws, ln_laws, gev_laws), _real(1e-6, 1.0 - 1e-6))
+@given(parametric_laws, _real(1e-6, 1.0 - 1e-6))
 def test_quantile_inverts_the_cdf(d, p):
     q = d.quantile(p)
     assert float(d.cdf(q)) == pytest.approx(p, abs=1e-10)
+
+
+@deterministic
+@given(parametric_laws, _real(0.0, 30.0), st.integers(0, 2**32 - 1))
+def test_each_law_derives_the_rest_from_its_own_methods(d, x, seed):
+    assert d.pdf(x) == np.exp(d.logpdf(x))
+    assert d.median() == d.quantile(0.5)
+    assert d.neg_mass() == d.cdf(0.0)
+    # Draws are the quantiles of uniforms guarded away from 0
+    u = np.maximum(np.random.default_rng(seed).random(5), np.finfo(float).tiny)
+    assert np.array_equal(d.sample(np.random.default_rng(seed), size=5), d.quantile(u))
+    assert all(f"{a}={getattr(d, a)!r}" in repr(d) for a in d.params)
 
 
 # GEV laws with a finite variance (xi < 1/2), so the sample mean has a
