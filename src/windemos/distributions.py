@@ -17,6 +17,7 @@ accurate for extreme arguments (deeply truncated normals in particular).
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -44,10 +45,6 @@ def log_norm_cdf(z):
 def log_norm_pdf(z):
     z = np.asarray(z, dtype=float)
     return -0.5 * z * z - _LOG_SQRT_2PI
-
-
-def norm_pdf(z):
-    return np.exp(log_norm_pdf(z))
 
 
 def norm_cdf_pdf_ratio(t):
@@ -295,9 +292,15 @@ class GEV(_Law):
         self.mu = _validate_finite(mu, "mu")
         self.sigma = _validate_positive(sigma, "sigma")
         self.xi = _validate_finite(xi, "xi")
-        # The shape is 1 on the Gumbel rows, where the xi-branch is unused
-        self._gumbel = np.abs(self.xi) < _SMALL_XI
-        self._xi_safe = np.where(self._gumbel, 1.0, self.xi)
+
+    # Computed once per law, on first use: a law of one case may never need them
+    @cached_property
+    def _gumbel(self):
+        return np.abs(self.xi) < _SMALL_XI
+
+    @cached_property
+    def _xi_safe(self):  # 1 on the Gumbel rows, where the xi-branch is unused
+        return np.where(self._gumbel, 1.0, self.xi)
 
     def support(self):
         """Lower and upper endpoints of the support."""

@@ -39,7 +39,6 @@ from .distributions import (
     log_norm_pdf,
     norm_cdf,
     norm_cdf_pdf_ratio,
-    norm_pdf,
 )
 from .errors import (
     InvalidInputError,
@@ -294,8 +293,8 @@ def _crps_ln_grad(mu, sigma, x):
     crps, w, mean, b = _crps_ln_terms(mu, sigma, x)
     # w is -inf at x = 0, where E and its products with w are 0
     w = np.where(x > 0.0, w, 0.0)
-    e = x * norm_pdf(w)
-    k = _SQRT2 * mean * norm_pdf(sigma / _SQRT2)
+    e = x * np.exp(log_norm_pdf(w))
+    k = _SQRT2 * mean * np.exp(log_norm_pdf(sigma / _SQRT2))
     d_mu = -2.0 * mean * b
     d_sigma = sigma * d_mu + 2.0 * e - k
     h_ms = d_sigma + 2.0 * e * w / sigma
