@@ -80,15 +80,13 @@ def _check_prob(p):
 
 
 def _gev_tail(xi, z):
-    """Where 1 + xi z > 0, log(1 + xi z) there (0 elsewhere) and the GEV's
-    t = -log F = (1 + xi z)^(-1/xi) as exp(-log1p(xi z)/xi), which keeps its
-    digits as xi (nonzero) nears the Gumbel switch; outside the support t is
-    inf below it (xi > 0) and 0 above it (xi < 0)."""
-    inside = 1.0 + xi * z > 0.0
-    log_u = np.log1p(np.where(inside, xi * z, 0.0))
-    with np.errstate(over="ignore"):
-        t = np.exp(-log_u / xi)
-    return inside, log_u, np.where(inside, t, np.where(xi > 0.0, np.inf, 0.0))
+    """log(1 + xi z), -inf off the support, and the GEV's t = -log F =
+    (1 + xi z)^(-1/xi) as exp(-log1p(xi z)/xi), which keeps its digits as
+    xi (nonzero) nears the Gumbel switch.  Off the support t is then inf
+    below it (xi > 0) and 0 above it (xi < 0)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        log_u = np.log1p(np.maximum(xi * z, -1.0))
+        return log_u, np.exp(-log_u / xi)
 
 
 class _Law:
@@ -313,14 +311,14 @@ class GEV(_Law):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         with np.errstate(over="ignore"):
             gum = np.exp(-np.exp(-z))
-        return np.where(self._gumbel, gum, np.exp(-_gev_tail(self._xi_safe, z)[2]))
+        return np.where(self._gumbel, gum, np.exp(-_gev_tail(self._xi_safe, z)[1]))
 
     def logpdf(self, x):
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
-        inside, log_u, t = _gev_tail(self._xi_safe, z)
+        log_u, t = _gev_tail(self._xi_safe, z)
         with np.errstate(over="ignore", invalid="ignore"):
             branch = -np.log(self.sigma) - (1.0 + 1.0 / self._xi_safe) * log_u - t
-            branch = np.where(inside, branch, -np.inf)
+            branch = np.where(log_u > -np.inf, branch, -np.inf)
             gum = -np.log(self.sigma) - z - np.exp(-z)
         return np.where(self._gumbel, gum, branch)
 

@@ -364,7 +364,7 @@ def _gev_terms(d, x):
     if np.any(d.xi >= 1.0):
         raise UndefinedMomentError("GEV CRPS is undefined for xi >= 1")
     z, xi = (x - d.mu) / d.sigma, np.where(d._gumbel, 0.5, d.xi)
-    t = _gev_tail(xi, z)[2]
+    t = _gev_tail(xi, z)[1]
     return z, d._gumbel, xi, t, x - d.mu + d.sigma / xi, d.sigma / xi * special.gamma(1.0 - xi)
 
 

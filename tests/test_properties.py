@@ -5,11 +5,12 @@ unit of the observation, twCRPS is a nonnegative integral that shrinks
 as the threshold rises and is the CRPS below the support, every
 closed-form quantile inverts its CDF, every parametric law derives its
 density, median, negative mass, draws and repr from its own methods,
-every closed-form mean is the mean of the law's draws, the ensemble statistics are numpy's reductions bit
-for bit, for one case and for a table of cases, an Empirical law
-with one sample per row is, row by row, the law of that sample bit for
-bit, and the raw and climatology streams are their per-case definitions
-on gappy data.  Runs are derandomized so the suite stays deterministic.
+every closed-form mean is the mean of the law's draws, the ensemble
+statistics are numpy's reductions bit for bit, for one case and for a
+table of cases, an Empirical law with one sample per row is, row by
+row, the law of that sample bit for bit, and the raw and climatology
+streams are their per-case definitions on gappy data.  Runs are
+derandomized so the suite stays deterministic.
 """
 
 import datetime
