@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _SMALL_XI, GEV
+from .distributions import _SMALL_XI, GEV, _gev_tail
 from .errors import (
     EstimationError,
     InsufficientDataError,
@@ -504,8 +504,7 @@ def _gev_nll_grad(z, t, sigma, xi):
         k = -np.expm1(-z)
         d_xi = z * (1.0 - 0.5 * z * k)
     else:
-        log_t = np.log1p(xi * z)
-        s = np.exp(-log_t / xi)
+        log_t, s = _gev_tail(xi, z)
         k = (1.0 + xi - s) / t
         d_xi = log_t * (s - 1.0) / (xi * xi) + z * k / xi
     return -k / sigma, (1.0 - z * k) / sigma, d_xi

@@ -164,6 +164,25 @@ def test_tn_mean_keeps_its_relative_accuracy_under_deep_truncation(t):
     assert mean == pytest.approx(1.0 / t - 2.0 / t**3 + 10.0 / t**5, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "t,rel",
+    # Below t = 5 the sum mu + sigma phi/Phi, off by up to about t^2 eps;
+    # above it the 40-term fraction, which converges slowest near t = 5
+    [(2.0, 1e-14), (3.0, 1e-14), (4.999, 1e-14), (5.001, 1e-15), (6.0, 1e-15), (10.0, 1e-15)],
+)
+def test_tn_mean_on_both_sides_of_the_continued_fraction_switch(t, rel):
+    # Reference: Laplace's continued fraction 1/(t + 2/(t + 3/(t + ...)))
+    # for r + phi(r)/Phi(r), t = -r, over 2000 terms in 40-digit decimals
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        td = decimal.Decimal(t)
+        f = td
+        for k in range(2000, 1, -1):
+            f = td + k / f
+        want = float(1 / f)
+    assert TruncatedNormal(-t, 1.0).mean() == pytest.approx(want, rel=rel, abs=0.0)
+
+
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (6.0, 2.5), (-8.0, 3.0), (-30.0, 1.0), (50.0, 0.5)])
 def test_tn_quantile_inversion(mu, sigma):
     # The probability error of the inverted CDF must stay within 1e-10

@@ -104,12 +104,15 @@ def test_twcrps_below_the_support_is_the_crps(d, x, depth):
         assert twcrps_values([d], [x], r)[0] == pytest.approx(crps, rel=1e-9, abs=1e-10)
 
 
-# TN laws down to mu/sigma = -1e6, and GEV laws with xi up to 0.95 and
-# on both sides of the Gumbel switch at |xi| = 1e-6
-deep_tn_laws = st.builds(
-    lambda r, sigma: TruncatedNormal(r * sigma, sigma),
-    st.one_of(_real(-10.0, 15.0), _real(1.0, 6.0).map(lambda e: -(10.0**e))),
-    _real(0.1, 5.0),
+# TN laws of `tn_laws` and down to mu/sigma = -1e6, and GEV laws with xi
+# up to 0.95 and on both sides of the Gumbel switch at |xi| = 1e-6
+deep_tn_laws = st.one_of(
+    tn_laws,
+    st.builds(
+        lambda r, sigma: TruncatedNormal(r * sigma, sigma),
+        _real(1.0, 6.0).map(lambda e: -(10.0**e)),
+        _real(0.1, 5.0),
+    ),
 )
 wide_gev_laws = st.builds(
     GEV, _real(0.0, 10.0), _real(0.2, 4.0), st.one_of(_real(-0.9, 0.95), _real(-1e-5, 1e-5))
