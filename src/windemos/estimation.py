@@ -2,15 +2,17 @@
 
 TN and LN coefficients are fitted by minimizing the mean closed-form
 CRPS over a training window; GEV coefficients by maximum likelihood.
-Each objective returns its value and its exact gradient: the CRPS
-partial derivatives in each case's location and scale (or the GEV
-score), chained through the links; a floored link passes no gradient.
-The TN and LN objectives also return their exact Hessian, J^T W J of
-the per-case second CRPS partials, and are minimized by projected
-Newton; every GEV fit runs L-BFGS-B with one restart from the
-incumbent.  Each family has that one optimizer.  The bounds keep the TN
-and LN weights and variance coefficients nonnegative and the GEV shape
-below 1, where the predictive mean and CRPS exist.  Both optimizers
+Each objective returns its value, its exact gradient and its exact
+Hessian: the first and second partials of the CRPS (or of the GEV
+negative log-density, whose Hessian is the observed information) in
+each case's location and scale, chained through the links as J^T d and
+J^T W J, plus the GEV shape's row; a floored link passes neither.  Every
+family is minimized by projected Newton; a GEV run that ends
+non-converged is handed over to L-BFGS-B from its best point, which
+loads scipy.optimize only then.  The bounds keep the TN and LN weights
+and variance coefficients nonnegative and the GEV shape in [-0.5, 1):
+below 1 the predictive mean and CRPS exist, and from -0.5 up maximum
+likelihood is regular.  Both optimizers
 work in standardized coordinates v, whose link columns `_design` builds
 once per training window and the objectives read: each group weight
 acts on its group-sum column centred and divided by its spread, and the
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _SMALL_XI, GEV, _gev_tail
+from .distributions import _SMALL_XI, _gev_tail
 from .errors import (
     EstimationError,
     InsufficientDataError,
@@ -57,8 +59,9 @@ from .scoring import Empirical, ForecastBatch, _crps_ln_grad, _crps_tn_grad, crp
 
 MIXTURES = ("tn-ln", "tn-gev")
 # The stopping rules of every fit: the projected gradient (gtol) or the
-# relative decrease of one step (ftol).  The GEV's L-BFGS-B runs twice on
-# them (see `_lbfgsb`); projected Newton stops on the same two (see `_newton`)
+# relative decrease of one step (ftol).  Projected Newton stops on them
+# (see `_newton`), and so does each of the two L-BFGS-B runs a GEV fit
+# is handed over to when Newton ends non-converged (see `_lbfgsb`)
 _FIT_OPTIONS = {"maxiter": 1000, "ftol": 1e-13, "gtol": 1e-7}
 # Projected Newton: its iterations, the Armijo constant, the step below
 # which the line search gives up, the widest gap to a bound that counts
@@ -68,7 +71,9 @@ _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 _ACTIVE_GAP = 1e-3
 _MAX_STEP = 100.0
-# The GEV shape stays below 1, where the mean and the CRPS exist
+# The GEV shape stays below 1, where the mean and the CRPS exist, and
+# at or above -0.5, where maximum likelihood is regular (see `_FAMILY_TABLE`)
+_XI_MIN = -0.5
 _XI_MAX = 1.0 - 1e-6
 _BIG = 1e12
 _SUPPORT_PENALTY = 1e6
@@ -130,6 +135,7 @@ class FitResult:
     converged: bool
     n_evals: int  # every trial point of the fit
     at_boundary: bool = False
+    handover: bool = False  # Newton ended non-converged and L-BFGS-B went on from its best point
 
 
 @dataclass
@@ -157,6 +163,7 @@ class CalibrationResult:
             "n_fits_nonconverged": sum(not f.converged for f in fits),
             "n_fits_at_floor": sum(f.at_boundary for f in fits),
             "n_optimizer_evals": sum(f.n_evals for f in fits),
+            "n_lbfgsb_handovers": sum(f.handover for f in fits),
             "n_split_fallbacks": self.n_split_fallbacks,
         }
 
@@ -357,8 +364,9 @@ def _newton(of_v, v, lower, upper):
 def _lbfgsb(of_v, v, lower, upper):
     """L-BFGS-B from v on box bounds, run twice, on the value and gradient.
 
-    One restart from the incumbent rescues runs whose line search stalls
-    at a kink, such as the GEV support penalty.  A stalled run can end on
+    It takes over a GEV fit from a non-converged Newton run.  One restart
+    from the incumbent rescues runs whose line search stalls at a kink,
+    such as the GEV support penalty.  A stalled run can end on
     a rejected trial point above its start, so the incumbent is the best
     point evaluated so far, and that is what the run returns, with its
     value, whether either run converged, and the number of evaluations.
@@ -491,27 +499,39 @@ def _ln_objective(first, second, obs):
     return objective
 
 
-def _gev_nll_grad(z, t, sigma, xi):
-    """Partial derivatives of the GEV negative log-density in (loc, sigma, xi).
+def _gev_nll(z, t, xi):
+    """The GEV negative log-density less log(sigma), and its partials in z and xi.
 
-    With t = 1 + xi z and s = t^(-1/xi), the density's log falls in z at
-    rate k = (1 + xi - s)/t, and the xi-derivative is log(t)(s - 1)/xi^2
-    + z k/xi.  On the Gumbel branch of `GEV.logpdf` (|xi| < 1e-6) k is
-    1 - e^(-z) and the xi-derivative its limit z - z^2 k/2, so the shape
-    can leave the branch.
+    With a = log(t), t = 1 + xi z, and s = t^(-1/xi), both from one
+    `_gev_tail` call, L = (1 + 1/xi) a + s (inf off the support); its
+    z-derivative is k = (1 + xi - s)/t, its second (1 + xi)(s - xi)/t^2,
+    and its xi-derivative L_xi = a (s - 1)/xi^2 + z k/xi.  L_z,xi and
+    L_xi,xi follow by the chain rule through s_xi = s (a/xi^2 - z/(xi t)).
+    On the Gumbel branch of `GEV.logpdf` (|xi| < 1e-6) L = z + e^(-z) and
+    the xi-partials are their limits as xi -> 0, so the shape can leave
+    the branch.  Returns L, k, L_zz, L_xi, L_z,xi and L_xi,xi per case.
     """
     if abs(xi) < _SMALL_XI:
+        e = np.exp(-z)
         k = -np.expm1(-z)
-        d_xi = z * (1.0 - 0.5 * z * k)
-    else:
-        log_t, s = _gev_tail(xi, z)
-        k = (1.0 + xi - s) / t
-        d_xi = log_t * (s - 1.0) / (xi * xi) + z * k / xi
-    return -k / sigma, (1.0 - z * k) / sigma, d_xi
+        l_zx = 1.0 - z + z * e - 0.5 * z * z * e
+        l_xx = z * z * ((2.0 * z - 3.0) / 3.0 + e * (3.0 * z * z - 8.0 * z) / 12.0)
+        return z + e, k, e, z * (1.0 - 0.5 * z * k), l_zx, l_xx
+    a, s = _gev_tail(xi, z)
+    value = np.where(a > -np.inf, (1.0 + 1.0 / xi) * a + s, np.inf)
+    k = (1.0 + xi - s) / t
+    l_zz = (1.0 + xi) * (s - xi) / (t * t)
+    l_x = a * (s - 1.0) / (xi * xi) + z * k / xi
+    s_x = s * (a / (xi * xi) - z / (xi * t))
+    l_zx = (1.0 - s_x - k * z) / t
+    l_xx = (z / t * (s - 1.0) + a * s_x) / (xi * xi) - 2.0 * a * (s - 1.0) / xi**3
+    l_xx += z * (l_zx - k / xi) / xi
+    return value, k, l_zz, l_x, l_zx, l_xx
 
 
 def _gev_objective(first, second, obs):
-    """Mean GEV negative log-likelihood of the link coefficients and xi.
+    """Mean GEV negative log-likelihood of the link coefficients and xi,
+    with its gradient and its Hessian, the observed information.
 
     The links, on the columns `first` and `second`, are the location and
     the scale; the shape xi is the last coordinate.  Training cases
@@ -520,29 +540,43 @@ def _gev_objective(first, second, obs):
     feasibility.  A case inside the support whose negative log-density
     exceeds the penalty (a floored scale far from its observation
     reaches 1e72) costs the penalty too, so no trial step returns a
-    value that derails the line search.
+    value that derails the line search.  Per case, with z = (y - loc)/sigma
+    and L, k of `_gev_nll`, the Hessian in (loc, sigma, xi) is L_zz/sigma^2,
+    (k + z L_zz)/sigma^2, (-1 + 2 z k + z^2 L_zz)/sigma^2, -L_z,xi/sigma,
+    -z L_z,xi/sigma and L_xi,xi.  A penalized case has no curvature, and
+    a floored scale neither gradient nor curvature.
     """
 
     def objective(v):
         with np.errstate(all="ignore"):
             loc, scale_raw = _links(v, first, second)
             sigma, xi = np.maximum(scale_raw, SCALE_FLOOR), float(v[-1])
-            if not (np.all(np.isfinite(loc)) and np.isfinite(xi)):
-                return _BIG, np.zeros_like(v)
+            if not (np.all(np.isfinite(loc) & (scale_raw < np.inf)) and np.isfinite(xi)):
+                return _BIG, np.zeros_like(v), np.zeros((v.size, v.size))
             z = (obs - loc) / sigma
             t = 1.0 + xi * z
-            nll = -GEV(loc, sigma, xi).logpdf(obs)
-            d_loc, d_sigma, d_xi = _gev_nll_grad(z, t, sigma, xi)
+            value, k, l_zz, l_x, l_zx, l_xx = _gev_nll(z, t, xi)
+            nll = np.log(sigma) + value
             feasible = nll < _SUPPORT_PENALTY
+            on = feasible & (scale_raw > SCALE_FLOOR)
             # The violation -t grows where t < 0; capped cases inside are flat
             outside = ~feasible & (t < 0.0)
             per_case = np.where(feasible, nll, _SUPPORT_PENALTY + np.maximum(-t, 0.0))
-            d_loc = np.where(feasible, d_loc, np.where(outside, xi / sigma, 0.0))
-            d_sigma = np.where(feasible, d_sigma, np.where(outside, xi * z / sigma, 0.0))
+            d_loc = np.where(feasible, -k, np.where(outside, xi, 0.0)) / sigma
+            d_sigma = np.where(feasible, 1.0 - z * k, np.where(outside, xi * z, 0.0)) / sigma
             d_sigma = np.where(scale_raw > SCALE_FLOOR, d_sigma, 0.0)
-            d_xi = np.where(feasible, d_xi, np.where(outside, -z, 0.0))
-            (grad,) = _chain(first, second, d_loc, d_sigma)
-            return _mean_and_grad(per_case, np.append(grad, np.sum(d_xi)))
+            d_xi = np.where(feasible, l_x, np.where(outside, -z, 0.0))
+            s2 = sigma * sigma
+            h_mm = np.where(feasible, l_zz / s2, 0.0)
+            h_ms = np.where(on, (k + z * l_zz) / s2, 0.0)
+            h_ss = np.where(on, (2.0 * z * k + z * z * l_zz - 1.0) / s2, 0.0)
+            h_mx = np.where(feasible, -l_zx / sigma, 0.0)
+            h_sx = np.where(on, -z * l_zx / sigma, 0.0)
+            grad, hess = _chain(first, second, d_loc, d_sigma, h_mm, h_ms, h_ss)
+            h_xx = np.sum(np.where(feasible, l_xx, 0.0))
+            row = np.concatenate([h_mx @ first, h_sx @ second, [h_xx]])
+            hess = np.block([[hess, row[:-1, None]], [row]])
+            return _mean_and_grad(per_case, np.append(grad, np.sum(d_xi)), hess)
 
     return objective
 
@@ -551,31 +585,33 @@ def _gev_objective(first, second, obs):
 class _Family:
     params: type  # link coefficients: intercept, group weights, then the rest of u
     cold: object  # g -> cold-start params
-    objective: object  # (first, second link columns, obs) -> objective: value, gradient[, Hessian]
+    objective: object  # (first, second link columns, obs) -> objective: value, gradient, Hessian
     column: str  # the CaseRows column of the second link
     bounds: tuple  # bounds of the intercept, of each group weight, then of the rest
     floor: float  # floor of the first link, -inf where it has none
-    optimizer: object  # (of_v, v, lower, upper) -> (v, value, converged, evaluations)
+    handover: bool  # a non-converged Newton run goes on by `_lbfgsb` from its best point
     fit: object  # (g, training window, init params) -> FitResult, by the public fit
 
 
 # TN and LN weights and variance coefficients are nonnegative; GEV
-# coefficients are free but the shape, below _XI_MAX.  The fits name the
-# module's functions at call time, so a wrapper put on the module (a
-# profiler's, say) sees every fit.
+# coefficients are free but the shape, in [-0.5, _XI_MAX]: below -0.5
+# maximum likelihood is not regular (Smith 1985, Biometrika 72), below -1
+# the likelihood has no maximum, and on a small window an unbounded fit
+# runs there.  The fits name the module's functions at call time, so a wrapper put on the
+# module (a profiler's, say) sees every fit.
 _NONNEGATIVE = ((-np.inf, np.inf), (0.0, np.inf), (0.0, np.inf), (0.0, np.inf))
 _FAMILY_TABLE = {
     "tn": _Family(
-        TnParams, default_tn_params, _tn_objective, "s2", _NONNEGATIVE, -np.inf, _newton,
+        TnParams, default_tn_params, _tn_objective, "s2", _NONNEGATIVE, -np.inf, False,
         lambda g, window, init: fit_min_crps("tn", g, window, init=init),
     ),
     "ln": _Family(
-        LnParams, default_ln_params, _ln_objective, "s2", _NONNEGATIVE, MEAN_FLOOR, _newton,
+        LnParams, default_ln_params, _ln_objective, "s2", _NONNEGATIVE, MEAN_FLOOR, False,
         lambda g, window, init: fit_min_crps("ln", g, window, init=init),
     ),
     "gev": _Family(
         GevParams, default_gev_params, _gev_objective, "fbar",
-        ((-np.inf, np.inf),) * 4 + ((-np.inf, _XI_MAX),), -np.inf, _lbfgsb,
+        ((-np.inf, np.inf),) * 4 + ((_XI_MIN, _XI_MAX),), -np.inf, True,
         lambda g, window, init: fit_gev_ml(g, window, init=init),
     ),
 }
@@ -585,11 +621,11 @@ FAMILIES = (*_FAMILY_TABLE, *MIXTURES)
 def _vector(family, m, p):
     # The fit's u of a family's link coefficients p and its lower and
     # upper bounds, all as intercept, group weights, then the rest; a GEV
-    # warm start above the shape's bound starts on it
+    # warm start outside the shape's bounds starts on the nearer one
     head, weight, *rest = _FAMILY_TABLE[family].bounds
     lower, upper = np.array([head, *[weight] * m, *rest]).T
     head, weights, *rest = dataclasses.astuple(p)
-    return np.minimum(np.concatenate([[head], weights, rest]), upper), lower, upper
+    return np.clip(np.concatenate([[head], weights, rest]), lower, upper), lower, upper
 
 
 def _fit_family(family, g, rows, init):
@@ -597,20 +633,29 @@ def _fit_family(family, g, rows, init):
 
     Packs `init` (None: the cold start) into u, maps it to the window's
     standardized coordinates v of u = A v (`_design`, which keeps each
-    bound's form), runs the family's optimizer on the objective of the
-    window's columns in v, flags a floored link and unpacks A v.
+    bound's form), runs projected Newton on the objective of the
+    window's columns in v, hands a non-converged run over to L-BFGS-B
+    where the family does so, flags a floored (or non-finite) link and
+    unpacks A v.
     """
     fam = _FAMILY_TABLE[family]
     u0, lower, upper = _vector(family, g.m, fam.cold(g) if init is None else init)
     first, second, A = _design(rows.gs, getattr(rows, fam.column), u0.size)
     v0 = np.clip(np.linalg.solve(A, u0), lower, upper)
     objective = fam.objective(first, second, rows.obs)
-    v, fun, converged, evals = fam.optimizer(objective, v0, lower, upper)
-    loc, scale = _links(v, first, second)
-    boundary = bool(np.any(loc < fam.floor) or np.any(scale < SCALE_FLOOR))
+    v, fun, converged, evals = _newton(objective, v0, lower, upper)
+    handover = fam.handover and not converged
+    if handover:
+        # L-BFGS-B starts from the best point and keeps it unless it finds a lower one
+        v, fun, converged, more = _lbfgsb(objective, v, lower, upper)
+        evals += more
+    with np.errstate(all="ignore"):
+        loc, scale = _links(v, first, second)
+    # A link on its floor, or one that overflows, is on the boundary
+    clear = np.isfinite(loc) & np.isfinite(scale) & (loc >= fam.floor) & (scale >= SCALE_FLOOR)
     u = A @ v
     params = fam.params(u[0], tuple(u[1 : 1 + g.m]), *u[1 + g.m :])
-    return FitResult(params, fun, converged, evals, boundary)
+    return FitResult(params, fun, converged, evals, not np.all(clear), handover)
 
 
 def fit_min_crps(family, g, window, init=None):
@@ -628,22 +673,24 @@ def fit_min_crps(family, g, window, init=None):
 def fit_gev_ml(g, window, init=None):
     """Maximum-likelihood estimation of the GEV link coefficients.
 
-    The shape is bounded below 1, where the predictive mean and CRPS
-    exist; a warm start above the bound is clipped to it.  A warm start
-    that leaves a training case outside the support or on the scale
-    floor, where the gradient does not lead back, is replaced by the
-    cold start, which holds every nonnegative observation.
+    The shape is bounded to [-0.5, 1): below 1 the predictive mean and
+    CRPS exist, and from -0.5 up maximum likelihood is regular; a warm
+    start outside is clipped to the nearer bound.  A warm start that
+    leaves a training case outside the support (a case whose link
+    overflows included) or on the scale floor, where the gradient does
+    not lead back, is replaced by the cold start, which holds every
+    nonnegative observation.
     """
     rows = _training_rows(window, g)
     if init is not None:
         u0 = _vector("gev", g.m, init)[0]
-        loc, scale_raw = _links(u0, *_link_columns(rows.gs, rows.fbar))
-        # Per training case: is its likelihood at the start finite
-        inside = np.zeros(len(rows), dtype=bool)
-        if np.all(np.isfinite(loc)):
-            with np.errstate(all="ignore"):
-                sigma = np.maximum(scale_raw, SCALE_FLOOR)
-                inside = np.isfinite(GEV(loc, sigma, u0[-1]).logpdf(rows.obs))
+        with np.errstate(all="ignore"):
+            loc, scale_raw = _links(u0, *_link_columns(rows.gs, rows.fbar))
+            sigma, xi = np.maximum(scale_raw, SCALE_FLOOR), u0[-1]
+            z = (rows.obs - loc) / sigma
+            # Per training case: is its likelihood at the start finite; a
+            # link that overflows makes it inf or NaN
+            inside = np.isfinite(np.log(sigma) + _gev_nll(z, 1.0 + xi * z, xi)[0])
         if not np.any(inside):
             raise EstimationError(
                 "no training case lies inside the GEV support at the initial "

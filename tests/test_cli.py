@@ -144,6 +144,8 @@ def test_calibrate_reports_fit_counters(tmp_path):
     assert calibration["n_fits_nonconverged"] == sum(not f.converged for f in fits)
     assert calibration["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
     assert calibration["n_optimizer_evals"] == sum(f.n_evals for f in fits) > 0
+    assert calibration["n_lbfgsb_handovers"] == sum(f.handover for f in fits)
+    assert calibration["n_lbfgsb_handovers"] <= calibration["n_fits"]
 
 
 def test_one_day_tn_windows_write_a_finite_nonnegative_mean_crps(tmp_path):
@@ -206,6 +208,7 @@ def test_grid_search_reports_fit_counters(tmp_path, strategy):
         assert got["n_fits_nonconverged"] == sum(not f.converged for f in fits)
         assert got["n_fits_at_floor"] == sum(f.at_boundary for f in fits)
         assert got["n_optimizer_evals"] == sum(f.n_evals for f in fits)
+        assert got["n_lbfgsb_handovers"] == sum(f.handover for f in fits) <= got["n_fits"]
         assert got["n_split_fallbacks"] == sum(calib.n_split_fallbacks for calib in calibs)
     if strategy == "split":
         assert counts["selection"]["n_split_fallbacks"] > 0
@@ -543,14 +546,35 @@ def test_module_entrypoint_and_log_level(tmp_path):
 
 
 def test_importing_the_cli_loads_neither_the_optimizers_nor_the_integrators():
-    # scipy.optimize loads on the first L-BFGS-B run (GEV fits, Newton
-    # fallbacks) and scipy.integrate only for the quadrature oracle
+    # scipy.optimize loads only when a GEV Newton run that ends
+    # non-converged is handed over to L-BFGS-B, and scipy.integrate only
+    # for the quadrature oracle
     code = (
         "import sys, windemos.cli; "
         "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_tn_gev_calibration_on_regular_windows_never_loads_scipy_optimize(tmp_path):
+    # Every GEV fit on these 20-day windows converges by Newton, so none is
+    # handed over to L-BFGS-B and scipy.optimize is never imported
+    data = tmp_path / "data.csv"
+    args = ["simulate", str(data), "--scenario", "switching", "--days", "60", "--stations", "8"]
+    assert main(args + ["--groups-sizes", "1,7", "--seed", "0"]) == 0
+    out = tmp_path / "out"
+    argv = ["calibrate", str(data), "--model", "tn-gev", "--theta", "6", "--train-days", "20"]
+    code = (
+        "import sys; from windemos.cli import main; "
+        f"code = main({argv + ['--output-dir', str(out)]!r}); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+    calibration = json.loads((out / "report.json").read_text())["calibration"]
+    assert calibration["n_fits"] == 80
+    assert calibration["n_lbfgsb_handovers"] == calibration["n_fits_nonconverged"] == 0
 
 
 def test_reports_count_dropped_rows(tmp_path):

@@ -3,25 +3,28 @@
 # BASE with git archive next to copies of this tree's perfbench/ and
 # BENCHMARK.json, copy the working tree's sources the same way, and run
 # `perfbench/run.py --trace 0` N times on each side per workload, at the
-# run length BENCHMARK.json declares.  Pair i runs both sides on seed i,
-# BASE first in odd pairs and the working tree first in even ones.
+# run length BENCHMARK.json declares.  Pair i (1..N) runs both sides on
+# seed FIRST + i - 1, BASE first in odd pairs and the working tree first
+# in even ones.
 #
 #   tools/bench_pairs.sh HEAD        # A/A on an unchanged tree: the noise floor
 #   tools/bench_pairs.sh origin/main 10
+#   tools/bench_pairs.sh origin/main 10 21   # on seeds 21-30
 #
 # Prints per workload and end-to-end metric the median of each side, the
 # quartiles of BASE's runs and the pairs each side won, and whether
 # mean_crps matched bit for bit in every pair (if not, by how much).  N
-# defaults to 5.  Exits 0 when every run succeeded, 2 when BASE cannot be
-# unpacked or a run fails.
+# defaults to 5 and FIRST to 1.  Exits 0 when every run succeeded, 2 when
+# BASE cannot be unpacked or a run fails.
 set -uo pipefail
 
-if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 BASE [N]" >&2
+if [ $# -lt 1 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 BASE [N [FIRST]]" >&2
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
 pairs=${2:-5}
+first=${3:-1}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -43,7 +46,8 @@ for workload in $workloads; do
         [ $((i % 2)) -eq 0 ] && order="change base"
         for side in $order; do
             echo "# $workload pair $i: $side" >&2
-            (cd "$tmp/$side" && python3 perfbench/run.py --workload "$workload" --seed "$i" \
+            (cd "$tmp/$side" && python3 perfbench/run.py --workload "$workload" \
+                --seed $((first + i - 1)) \
                 --seconds "$seconds" --trace 0) > "$tmp/out" || exit 2
             tail -n 1 "$tmp/out" > "$tmp/runs/$side/$workload.$i.json"
         done
